@@ -20,42 +20,59 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
 
   private def rootCtx: DynamicContext = DynamicContext.root(conf)
 
+  /** Run `f` in a fresh query context, then release what the query
+    * persisted (the order-by cache, §4.8). */
+  private def withQuery[T](f: DynamicContext => T): T = {
+    val ctx = rootCtx
+    try f(ctx)
+    finally ctx.releasePersisted()
+  }
+
   /** Parse + static-check + translate a query to its root runtime iterator. */
   def compile(query: String): RuntimeIterator = Translator.translate(Parser.parse(query))
 
   /** Evaluate and stream the result items (RDDs are collected through the
-    * local API with the configured materialization cap, §5.5). */
-  def runIterator(query: String): Iterator[Item] = compile(query).localIterator(rootCtx)
+    * local API with the configured materialization cap, §5.5). What the
+    * query persisted is released once the iterator is drained. */
+  def runIterator(query: String): Iterator[Item] = {
+    val ctx = rootCtx
+    val items =
+      try compile(query).localIterator(ctx)
+      catch { case e: Throwable => ctx.releasePersisted(); throw e }
+    items ++ { ctx.releasePersisted(); Iterator.empty[Item] }
+  }
 
   /** Evaluate and materialize the full result. */
-  def run(query: String): List[Item] = runIterator(query).toList
+  def run(query: String): List[Item] = withQuery(ctx => compile(query).materialize(ctx))
 
   /** Evaluate for the number of result items without materializing them on
     * the driver — a `count` action when the result is an RDD, or a direct
     * DataFrame count when the FLWOR's return is provably one item/tuple. */
-  def runCount(query: String): Long = {
-    val it  = compile(query)
-    val ctx = rootCtx
-    it match {
-      case f: repro.core.runtime.flwor.FlworIterator =>
-        f.tryCountPushdown(ctx).foreach(n => return n)
-      case f: repro.core.runtime.flwor.SimpleFlworRddIterator =>
-        f.tryCountPushdown(ctx).foreach(n => return n)
-      case _ =>
+  def runCount(query: String): Long = withQuery { ctx =>
+    val it = compile(query)
+    val pushedDown = it match {
+      case f: repro.core.runtime.flwor.FlworIterator          => f.tryCountPushdown(ctx)
+      case f: repro.core.runtime.flwor.SimpleFlworRddIterator => f.tryCountPushdown(ctx)
+      case _                                                  => None
     }
-    if (it.isRDD(ctx)) it.getRDD(ctx).count()
-    else {
-      var n = 0L
-      val local = it.localIterator(ctx)
-      while (local.hasNext) { local.next(); n += 1 }
-      n
+    pushedDown.getOrElse {
+      if (it.isRDD(ctx)) it.getRDD(ctx).count()
+      else {
+        var n = 0L
+        val local = it.localIterator(ctx)
+        while (local.hasNext) { local.next(); n += 1 }
+        n
+      }
     }
   }
 
-  /** The result as an RDD of items; local results are parallelized. */
-  def runToRdd(query: String): RDD[Item] = {
-    val it  = compile(query)
-    val ctx = rootCtx
+  /** The result as an RDD of items; local results are parallelized. The
+    * caller consumes the RDD later, so what the query persisted stays
+    * cached. */
+  def runToRdd(query: String): RDD[Item] = toRdd(query, rootCtx)
+
+  private def toRdd(query: String, ctx: DynamicContext): RDD[Item] = {
+    val it = compile(query)
     if (it.isRDD(ctx)) it.getRDD(ctx)
     else spark.sparkContext.parallelize(it.materialize(ctx))
   }
@@ -63,7 +80,7 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
   /** Write the result back as a JSON-Lines directory (parallel when the
     * result is an RDD, §5.4: "Rumble can directly write the results back"). */
   def writeJsonLines(query: String, path: String): Unit =
-    runToRdd(query).map(JsonWriter.write).saveAsTextFile(path)
+    withQuery(toRdd(query, _).map(JsonWriter.write).saveAsTextFile(path))
 
   /** Materialize a (small) result of *object* items as a typed DataFrame —
     * used to compare query results against the DuckDB oracle. Columns are

@@ -1,5 +1,7 @@
 package repro.core.runtime
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
 import repro.core.model._
 
 /** Engine configuration.
@@ -73,6 +75,26 @@ final class DynamicContext(
   /** Context handed to code that runs inside a Spark closure. */
   def enterClosure: DynamicContext =
     new DynamicContext(Some(this), Map.empty, contextItem, insideClosure = true, conf)
+
+  // Filled at the root context of one query, outside Spark closures.
+  @transient private lazy val persisted = scala.collection.mutable.ListBuffer.empty[DataFrame]
+
+  private def root: DynamicContext = parent.fold(this)(_.root)
+
+  /** Persist `df` for the rest of the query evaluated under this context's
+    * root; [[releasePersisted]] unpersists it. */
+  def persistForQuery(df: DataFrame): DataFrame = {
+    root.persisted += df
+    df.persist(StorageLevel.MEMORY_AND_DISK)
+  }
+
+  /** Unpersist every DataFrame the query persisted. The façade calls this
+    * once the query's consuming action has finished. */
+  def releasePersisted(): Unit = {
+    val r = root
+    r.persisted.foreach(_.unpersist(blocking = true))
+    r.persisted.clear()
+  }
 }
 
 object DynamicContext {

@@ -25,6 +25,11 @@ abstract class ClauseIterator extends Serializable {
   def isDataFrame(ctx: DynamicContext): Boolean
   def getDataFrame(ctx: DynamicContext): DataFrame
 
+  /** The UDF argument carrying the cells of `reads`, in that order: a clause
+    * UDF decodes only the variables its expression reads. */
+  protected final def cellsOf(inS: TupleSchema, reads: Seq[String]): Column =
+    array(reads.map(v => col(inS.colOf(v))): _*)
+
   /** Project to exactly the out-schema columns, in schema order. */
   protected final def normalized(df: DataFrame): DataFrame =
     df.select(outSchema.cols.map(col): _*)
@@ -45,11 +50,14 @@ abstract class ClauseIterator extends Serializable {
 /** `for $v in expr` (paper §4.4). As the *initial* clause over an
   * RDD-capable expression, it converts the RDD of items into the initial
   * one-column DataFrame in parallel; as a later clause it is an extended
-  * projection (UDF evaluating the bind expression) followed by EXPLODE. */
+  * projection (UDF evaluating the bind expression) followed by EXPLODE.
+  * `reads` lists the in-scope variables `expr` refers to (here and in the
+  * other clauses). */
 final class ForClauseIterator(
     parent: Option[ClauseIterator],
     varName: String,
     expr: RuntimeIterator,
+    reads: Vector[String],
     val outSchema: TupleSchema,
     newCol: String,
 ) extends ClauseIterator {
@@ -64,16 +72,15 @@ final class ForClauseIterator(
       val rows = expr.getRDD(ctx).map(item => Row(ItemSerde.serializeItem(item)))
       SparkSession.active.createDataFrame(rows, outSchema.structType)
     case Some(p) =>
-      val pdf      = p.getDataFrame(ctx)
-      val inS      = p.outSchema
-      val varNames = inS.vars
-      val e        = expr
-      val base     = ctx.enterClosure
+      val pdf  = p.getDataFrame(ctx)
+      val vs   = reads
+      val e    = expr
+      val base = ctx.enterClosure
       val u = udf { (cells: Seq[Array[Byte]]) =>
-        val c = TupleSchema.contextFromCells(cells, varNames, base)
+        val c = TupleSchema.contextFromCells(cells, vs, base)
         e.materialize(c).map(ItemSerde.serializeItem)
       }
-      normalized(pdf.withColumn(newCol, explode(u(array(inS.cols.map(col): _*)))))
+      normalized(pdf.withColumn(newCol, explode(u(cellsOf(p.outSchema, vs)))))
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = parent match {
@@ -93,6 +100,7 @@ final class LetClauseIterator(
     parent: Option[ClauseIterator],
     varName: String,
     expr: RuntimeIterator,
+    reads: Vector[String],
     val outSchema: TupleSchema,
     newCol: String,
 ) extends ClauseIterator {
@@ -100,17 +108,16 @@ final class LetClauseIterator(
   def isDataFrame(ctx: DynamicContext): Boolean = parent.exists(_.isDataFrame(ctx))
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val p        = parent.get
-    val pdf      = p.getDataFrame(ctx)
-    val inS      = p.outSchema
-    val varNames = inS.vars
-    val e        = expr
-    val base     = ctx.enterClosure
+    val p    = parent.get
+    val pdf  = p.getDataFrame(ctx)
+    val vs   = reads
+    val e    = expr
+    val base = ctx.enterClosure
     val u = udf { (cells: Seq[Array[Byte]]) =>
-      val c = TupleSchema.contextFromCells(cells, varNames, base)
+      val c = TupleSchema.contextFromCells(cells, vs, base)
       ItemSerde.serializeSeq(e.materialize(c))
     }
-    normalized(pdf.withColumn(newCol, u(array(inS.cols.map(col): _*))))
+    normalized(pdf.withColumn(newCol, u(cellsOf(p.outSchema, vs))))
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = parent match {
@@ -124,7 +131,8 @@ final class LetClauseIterator(
 }
 
 /** `where expr` (paper §4.6): selection via a UDF computing the EBV. */
-final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
+final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator,
+                                val reads: Vector[String])
     extends ClauseIterator {
 
   val outSchema: TupleSchema = input.outSchema
@@ -132,15 +140,14 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
   def isDataFrame(ctx: DynamicContext): Boolean = input.isDataFrame(ctx)
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val pdf      = input.getDataFrame(ctx)
-    val inS      = input.outSchema
-    val varNames = inS.vars
-    val e        = expr
-    val base     = ctx.enterClosure
+    val pdf  = input.getDataFrame(ctx)
+    val vs   = reads
+    val e    = expr
+    val base = ctx.enterClosure
     val u = udf { (cells: Seq[Array[Byte]]) =>
-      e.effectiveBoolean(TupleSchema.contextFromCells(cells, varNames, base))
+      e.effectiveBoolean(TupleSchema.contextFromCells(cells, vs, base))
     }
-    normalized(pdf.filter(u(array(inS.cols.map(col): _*))))
+    normalized(pdf.filter(u(cellsOf(input.outSchema, vs))))
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
@@ -181,8 +188,10 @@ object KeyEncoder {
   }
 }
 
-/** One `order by` sort spec with its compiled key expression. */
-final case class OrderSpec(expr: RuntimeIterator, descending: Boolean, emptyGreatest: Boolean)
+/** One `order by` sort spec with its compiled key expression and the
+  * in-scope variables that expression reads. */
+final case class OrderSpec(expr: RuntimeIterator, descending: Boolean, emptyGreatest: Boolean,
+                           reads: Vector[String])
     extends Serializable
 
 /** How a non-grouping variable is aggregated by group-by (paper §4.7):
@@ -229,7 +238,7 @@ final class GroupByClauseIterator(
       ItemSerde.serializeSeq(cells.toList.flatMap(ItemSerde.deserializeSeq))
     }
     // sequence length is the serde header — no need to deserialize items
-    val lenUdf    = udf { (b: Array[Byte]) => java.nio.ByteBuffer.wrap(b).getInt }
+    val lenUdf    = udf { (b: Array[Byte]) => ItemSerde.seqLength(b) }
     val serIntUdf = udf { (n: Long) => ItemSerde.serializeSeq(List(IntItem(n))) }
     val aggs: Seq[Column] = outSchema.vars.map { v =>
       val outCol = outSchema.colOf(v)
@@ -286,24 +295,23 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
   def isDataFrame(ctx: DynamicContext): Boolean = input.isDataFrame(ctx)
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val inS      = input.outSchema
-    val varNames = inS.vars
-    val base     = ctx.enterClosure
-    var df       = input.getDataFrame(ctx)
+    val base = ctx.enterClosure
+    var df   = input.getDataFrame(ctx)
     val encCols = specs.zipWithIndex.map { case (spec, i) =>
       val e  = spec.expr
       val eg = spec.emptyGreatest
+      val vs = spec.reads
       val u = udf { (cells: Seq[Array[Byte]]) =>
-        KeyEncoder.encodeOrder(e.materialize(TupleSchema.contextFromCells(cells, varNames, base)), eg)
+        KeyEncoder.encodeOrder(e.materialize(TupleSchema.contextFromCells(cells, vs, base)), eg)
       }
       val ec = s"ok_$i"
-      df = df.withColumn(ec, u(array(inS.cols.map(col): _*)))
+      df = df.withColumn(ec, u(cellsOf(input.outSchema, vs)))
       ec
     }
     // The type-discovery pass and the sort both consume the encoded tuple
     // stream — cache it so the input is not recomputed (read + parsed)
-    // twice; Spark's LRU reclaims the blocks under memory pressure.
-    df = df.persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
+    // twice; it is released when the query's action has finished.
+    df = ctx.persistForQuery(df)
     // First pass (one job): discover the value types of every sort key.
     val rankSets =
       df.select(encCols.map(ec => collect_set(col(ec + "._1")).as(ec)): _*).head()
@@ -441,6 +449,8 @@ final class SimpleFlworRddIterator(
   * DataFrame, `return` maps it to an RDD of items with a flatMap; otherwise
   * it consumes tuples through the local API.
   *
+  * @param retReads the in-scope variables the return expression reads; the
+  *        DataFrame-to-RDD flatMap decodes only their columns
   * @param singletonReturn the translator proved the return expression
   *        yields exactly one item per tuple (a for-bound variable, an
   *        object/array constructor, a literal); a consuming `count()` can
@@ -448,8 +458,8 @@ final class SimpleFlworRddIterator(
   *        the same aggregation-detection family as the paper's §4.7
   *        COUNT pushdown.
   */
-final class FlworIterator(last: ClauseIterator, retExpr: RuntimeIterator,
-                          singletonReturn: Boolean = false)
+final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
+                          retReads: Vector[String], singletonReturn: Boolean = false)
     extends RuntimeIterator {
 
   /** Count the FLWOR's results as a DataFrame count when provably equal. */
@@ -460,8 +470,8 @@ final class FlworIterator(last: ClauseIterator, retExpr: RuntimeIterator,
     !ctx.insideClosure && last.isDataFrame(ctx)
 
   override def getRDD(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
-    val df     = last.getDataFrame(ctx)
-    val schema = last.outSchema
+    val schema = last.outSchema.restrictedTo(retReads)
+    val df     = last.getDataFrame(ctx).select(schema.cols.map(col): _*)
     val base   = ctx.enterClosure
     val re     = retExpr
     df.rdd.mapPartitions { rows =>

@@ -43,6 +43,10 @@ final case class TupleSchema(entries: Vector[(String, String)], nextId: Int) {
     (TupleSchema(entries.filterNot(_._1 == name) :+ ((name, col)), nextId + 1), col)
   }
 
+  /** The entries of `names` only, in schema order. */
+  def restrictedTo(names: Seq[String]): TupleSchema =
+    TupleSchema(entries.filter(e => names.contains(e._1)), nextId)
+
   /** Spark schema of the tuple-stream DataFrame: all-binary columns. */
   def structType: StructType =
     StructType(cols.map(c => StructField(c, BinaryType, nullable = true)))

@@ -129,7 +129,7 @@ object Translator {
     def addFor(name: String, expr: ExprAst): Unit = {
       val e                   = translateExpr(expr, sc)
       val (newSchema, newCol) = schema.withVar(name)
-      chain = Some(new ForClauseIterator(chain, name, e, newSchema, newCol))
+      chain = Some(new ForClauseIterator(chain, name, e, readsOf(expr, schema), newSchema, newCol))
       schema = newSchema
       sc = sc.withVar(name)
     }
@@ -137,7 +137,7 @@ object Translator {
     def addLet(name: String, expr: ExprAst): Unit = {
       val e                   = translateExpr(expr, sc)
       val (newSchema, newCol) = schema.withVar(name)
-      chain = Some(new LetClauseIterator(chain, name, e, newSchema, newCol))
+      chain = Some(new LetClauseIterator(chain, name, e, readsOf(expr, schema), newSchema, newCol))
       schema = newSchema
       sc = sc.withVar(name)
     }
@@ -150,7 +150,7 @@ object Translator {
         case LetClauseAst(bindings) => bindings.foreach { case (v, e) => addLet(v, e) }
 
         case WhereClauseAst(e) =>
-          chain = Some(new WhereClauseIterator(chain.get, translateExpr(e, sc)))
+          chain = Some(new WhereClauseIterator(chain.get, translateExpr(e, sc), readsOf(e, schema)))
 
         case GroupByClauseAst(keys) =>
           // binding form first: group by $k := e  ≡  let $k := e then group by $k
@@ -194,7 +194,8 @@ object Translator {
 
         case OrderByClauseAst(specs) =>
           val compiled = specs.map(s =>
-            OrderSpec(translateExpr(s.expr, sc), s.descending, s.emptyGreatest))
+            OrderSpec(translateExpr(s.expr, sc), s.descending, s.emptyGreatest,
+                      readsOf(s.expr, schema)))
           chain = Some(new OrderByClauseIterator(chain.get, compiled))
 
         case CountClauseAst(v) =>
@@ -205,7 +206,8 @@ object Translator {
       }
     }
 
-    new FlworIterator(chain.get, translateExpr(ret, sc), singletonReturn(ret, clauses))
+    new FlworIterator(chain.get, translateExpr(ret, sc), readsOf(ret, schema),
+                      singletonReturn(ret, clauses))
   }
 
   /** True when the return expression provably yields exactly one item per
@@ -235,7 +237,12 @@ object Translator {
     }
   }
 
-  // ------------------------------------------------ group-by usage analysis
+  // ------------------------------- usage analysis: group-by modes, column pruning
+
+  /** The variables of `schema` that `e` reads: the columns a clause UDF
+    * decodes. Over-approximates where a nested FLWOR rebinds a name. */
+  private def readsOf(e: ExprAst, schema: TupleSchema): Vector[String] =
+    schema.vars.filter(v => usage(e, v)._1)
 
   /** All expression ASTs directly contained in a clause. */
   private def clauseExprs(c: ClauseAst): List[ExprAst] = c match {

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.core.model._
 import repro.core.runtime.{DynamicContext, RumbleConf}
+import repro.core.runtime.flwor.{FlworIterator, WhereClauseIterator}
 
 /** FLWOR execution on DataFrames (paper §4.3–4.10, §5.8): tuple streams as
   * all-binary DataFrames, clauses as DataFrame operations. Each query is
@@ -107,6 +108,15 @@ class DataFrameFlworSpec extends RumbleSpec {
         |return {"k": $k, "s": sum($x.b)}""".stripMargin)
   }
 
+  test("group by materializing a string over 64 KiB") {
+    val big = "x" * 70000
+    checkAgainstLocal(
+      s"""for $$x in parallelize(({"k": 1, "s": "$big"}, {"k": 1, "s": "é"}, {"k": 2, "s": "z"}))
+         |group by $$k := $$x.k
+         |order by $$k
+         |return {"k": $$k, "s": $$x.s}""".stripMargin)
+  }
+
   test("group by dropping an unused variable (§4.7)") {
     checkAgainstLocal(
       """for $x in parallelize((5, 6, 5))
@@ -191,5 +201,63 @@ class DataFrameFlworSpec extends RumbleSpec {
       "for $x in parallelize(1 to 10) where $x gt 7 return {\"v\": $x}", out)
     val back = rumble.run(s"""json-file("$out").v""")
     assert(back.map(_.numericDouble).toSet == Set(8.0, 9.0, 10.0))
+  }
+
+  // ------------------------------------------- per-clause column pruning
+
+  test("clauses that read no variable get a zero-column UDF argument") {
+    checkAgainstLocal(
+      """for $x in parallelize(1 to 6)
+        |let $c := 1
+        |where true
+        |order by 0
+        |return $x + $c""".stripMargin)
+    checkAgainstLocal("for $x in parallelize(1 to 3) let $y := $x return 7")
+  }
+
+  test("a nested FLWOR that rebinds an outer name reads the outer column") {
+    checkAgainstLocal(
+      """for $x in parallelize(1 to 4)
+        |let $y := $x * 10
+        |let $s := sum(for $x in 1 to $x return $x * $x)
+        |return $s + $y""".stripMargin)
+  }
+
+  test("clauses after a count-only group by read the $v#count column") {
+    checkAgainstLocal(
+      """for $x in parallelize((1, 2, 1, 3, 1, 2))
+        |group by $k := $x
+        |where count($x) ge 2
+        |order by count($x) descending
+        |return {"k": $k, "n": count($x)}""".stripMargin)
+  }
+
+  test("order by keys that read different variables") {
+    checkAgainstLocal(
+      """for $x in parallelize(({"a": 2, "b": "p"}, {"a": 1, "b": "q"}, {"a": 2, "b": "o"}))
+        |let $a := $x.a
+        |let $b := $x.b
+        |order by $a descending, $b
+        |return $x""".stripMargin)
+  }
+
+  test("the let-where query's where clause reads only $g and $t") {
+    val it = rumble.compile(
+      """for $i in parallelize(({"guess": "a", "target": "a"}))
+        |let $g := $i.guess
+        |let $t := $i.target
+        |where $g eq $t
+        |return $i""".stripMargin)
+    assert(it.asInstanceOf[FlworIterator].last.asInstanceOf[WhereClauseIterator].reads ==
+      Vector("g", "t"))
+  }
+
+  test("order by leaves nothing cached once the query's action is done") {
+    val q = "for $x in parallelize((3, 1, 2)) order by $x descending return {\"v\": $x}"
+    assert(ser(rumble.run(q)) == """{"v" : 3}, {"v" : 2}, {"v" : 1}""")
+    val out = new java.io.File(
+      java.nio.file.Files.createTempDirectory("rumble-out").toFile, "res").getAbsolutePath
+    rumble.writeJsonLines(q, out)
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
   }
 }
