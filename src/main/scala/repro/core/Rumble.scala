@@ -48,23 +48,7 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
   /** Evaluate for the number of result items without materializing them on
     * the driver — a `count` action when the result is an RDD, or a direct
     * DataFrame count when the FLWOR's return is provably one item/tuple. */
-  def runCount(query: String): Long = withQuery { ctx =>
-    val it = compile(query)
-    val pushedDown = it match {
-      case f: repro.core.runtime.flwor.FlworIterator          => f.tryCountPushdown(ctx)
-      case f: repro.core.runtime.flwor.SimpleFlworRddIterator => f.tryCountPushdown(ctx)
-      case _                                                  => None
-    }
-    pushedDown.getOrElse {
-      if (it.isRDD(ctx)) it.getRDD(ctx).count()
-      else {
-        var n = 0L
-        val local = it.localIterator(ctx)
-        while (local.hasNext) { local.next(); n += 1 }
-        n
-      }
-    }
-  }
+  def runCount(query: String): Long = withQuery(compile(query).count(_))
 
   /** The result as an RDD of items; local results are parallelized. The
     * caller consumes the RDD later, so what the query persisted stays

@@ -87,294 +87,247 @@ final class ParallelizeIterator(child: RuntimeIterator, partitions: Option[Runti
   protected def compute(ctx: DynamicContext): Iterator[Item] = child.localIterator(ctx)
 }
 
-/** Aggregating and scalar builtin functions. Aggregations over RDD-backed
-  * children run as Spark actions (count/sum/... on the cluster, §4.1.2 /
-  * §5.5) and return a local singleton — invisible to the caller. */
-final class FunctionIterator(name: String, args: List[RuntimeIterator]) extends RuntimeIterator {
-
-  private def arg(i: Int): RuntimeIterator = args(i)
-
-  private def requireArgs(n: Int): Unit =
-    if (args.size != n)
-      throw new StaticException("XPST0017", s"$name() expects $n argument(s), got ${args.size}")
-
-  protected def compute(ctx: DynamicContext): Iterator[Item] = name match {
-
-    // ----------------------------------------------------------- aggregates
-    case "count" =>
-      requireArgs(1)
-      arg(0) match {
-        case f: repro.core.runtime.flwor.FlworIterator =>
-          f.tryCountPushdown(ctx).foreach(n => return Iterator.single(IntItem(n)))
-        case f: repro.core.runtime.flwor.SimpleFlworRddIterator =>
-          f.tryCountPushdown(ctx).foreach(n => return Iterator.single(IntItem(n)))
-        case _ =>
-      }
-      val n =
-        if (arg(0).isRDD(ctx)) arg(0).getRDD(ctx).count()
-        else {
-          var c = 0L; val it = arg(0).localIterator(ctx); while (it.hasNext) { it.next(); c += 1 }
-          c
-        }
-      Iterator.single(IntItem(n))
-
-    case "sum" =>
-      requireArgs(1)
-      if (arg(0).isRDD(ctx))
-        Iterator.single(DoubleItem(arg(0).getRDD(ctx).map(_.numericDouble).sum()))
-      else {
-        var intSum = 0L; var dSum = 0.0; var allInt = true; var any = false
-        arg(0).localIterator(ctx).foreach { i =>
-          any = true
-          if (i.isInteger && allInt) intSum += i.asInstanceOf[IntItem].value
-          else { if (allInt) { dSum = intSum.toDouble; allInt = false }; dSum += i.numericDouble }
-        }
-        Iterator.single(if (!any) IntItem(0) else if (allInt) IntItem(intSum) else DoubleItem(dSum))
-      }
-
-    case "avg" =>
-      requireArgs(1)
-      if (arg(0).isRDD(ctx)) {
-        val rdd   = arg(0).getRDD(ctx).map(_.numericDouble)
-        val (s, n) = rdd.map(v => (v, 1L)).fold((0.0, 0L)) { case ((a, b), (c, d)) => (a + c, b + d) }
-        if (n == 0) Iterator.empty else Iterator.single(DoubleItem(s / n))
-      } else {
-        var s = 0.0; var n = 0L
-        arg(0).localIterator(ctx).foreach { i => s += i.numericDouble; n += 1 }
-        if (n == 0) Iterator.empty else Iterator.single(DoubleItem(s / n))
-      }
-
-    case "min" | "max" =>
-      requireArgs(1)
-      val items =
-        if (arg(0).isRDD(ctx)) {
-          val rdd = arg(0).getRDD(ctx)
-          if (rdd.isEmpty()) Iterator.empty
-          else {
-            val cmp: (Item, Item) => Item =
-              if (name == "min") (a, b) => if (Item.compareAtomics(a, b) <= 0) a else b
-              else (a, b) => if (Item.compareAtomics(a, b) >= 0) a else b
-            Iterator.single(rdd.reduce(cmp))
-          }
-        } else {
-          val it = arg(0).localIterator(ctx)
-          if (!it.hasNext) Iterator.empty
-          else {
-            var best = it.next()
-            while (it.hasNext) {
-              val x = it.next()
-              val c = Item.compareAtomics(x, best)
-              if ((name == "min" && c < 0) || (name == "max" && c > 0)) best = x
-            }
-            Iterator.single(best)
-          }
-        }
-      items
-
-    case "empty" =>
-      requireArgs(1)
-      Iterator.single(BooleanItem(
-        if (arg(0).isRDD(ctx)) arg(0).getRDD(ctx).isEmpty()
-        else !arg(0).localIterator(ctx).hasNext))
-
-    case "exists" =>
-      requireArgs(1)
-      Iterator.single(BooleanItem(
-        if (arg(0).isRDD(ctx)) !arg(0).getRDD(ctx).isEmpty()
-        else arg(0).localIterator(ctx).hasNext))
-
-    case "distinct-values" =>
-      requireArgs(1)
-      if (arg(0).isRDD(ctx)) {
-        val rdd = arg(0).getRDD(ctx)
-        RddUtils.collectWithCap(
-          rdd.map(i => (FunctionIterator.atomicKey(i), i)).reduceByKey((a, _) => a).map(_._2),
-          ctx.conf)
-      } else {
-        val seen = scala.collection.mutable.LinkedHashSet.empty[(Int, String, Double)]
-        arg(0).localIterator(ctx).flatMap { i =>
-          if (seen.add(FunctionIterator.atomicKey(i))) Some(i) else None
-        }
-      }
-
-    // ------------------------------------------------------------ sequences
-    case "head" =>
-      requireArgs(1)
-      val it = arg(0).localIterator(ctx)
-      if (it.hasNext) Iterator.single(it.next()) else Iterator.empty
-
-    case "tail" =>
-      requireArgs(1)
-      val it = arg(0).localIterator(ctx)
-      if (it.hasNext) { it.next(); it } else Iterator.empty
-
-    case "subsequence" =>
-      val it    = arg(0).localIterator(ctx)
-      val start = arg(1).materializeAtMostOne(ctx).map(_.numericDouble.toLong).getOrElse(1L)
-      val len   =
-        if (args.size >= 3) arg(2).materializeAtMostOne(ctx).map(_.numericDouble.toLong)
-        else None
-      val dropped = it.drop(math.max(0L, start - 1).toInt)
-      len match {
-        case Some(l) => dropped.take(l.toInt)
-        case None    => dropped
-      }
-
-    // -------------------------------------------------------------- objects
-    case "keys" =>
-      requireArgs(1)
-      arg(0).localIterator(ctx).flatMap {
-        case o: ObjectItem => o.keys.map(StringItem.apply)
-        case _             => Vector.empty
-      }
-
-    case "values" =>
-      requireArgs(1)
-      arg(0).localIterator(ctx).flatMap {
-        case ObjectItem(fields) => fields.map(_._2)
-        case _                  => Vector.empty
-      }
-
-    case "size" =>
-      requireArgs(1)
-      arg(0).materializeAtMostOne(ctx) match {
-        case None                  => Iterator.empty
-        case Some(ArrayItem(vs))   => Iterator.single(IntItem(vs.size))
-        case Some(other) =>
-          throw new RumbleException("XPTY0004", s"size() expects an array, got $other")
-      }
-
-    // -------------------------------------------------------------- scalars
-    case "string" =>
-      requireArgs(1)
-      arg(0).materializeAtMostOne(ctx) match {
-        case None    => Iterator.single(StringItem(""))
-        case Some(i) => Iterator.single(StringItem(i.castToString))
-      }
-
-    case "integer" =>
-      requireArgs(1)
-      arg(0).materializeAtMostOne(ctx) match {
-        case None => Iterator.empty
-        case Some(i) if i.isNumeric => Iterator.single(IntItem(i.numericDouble.toLong))
-        case Some(s) if s.isString  =>
-          Iterator.single(IntItem(s.stringValue.trim.toDouble.toLong))
-        case Some(BooleanItem(b))   => Iterator.single(IntItem(if (b) 1 else 0))
-        case Some(other) =>
-          throw new RumbleException("XPTY0004", s"cannot cast to integer: $other")
-      }
-
-    case "double" | "number" =>
-      requireArgs(1)
-      arg(0).materializeAtMostOne(ctx) match {
-        case None => Iterator.empty
-        case Some(i) if i.isNumeric => Iterator.single(DoubleItem(i.numericDouble))
-        case Some(s) if s.isString  =>
-          Iterator.single(
-            try DoubleItem(s.stringValue.trim.toDouble)
-            catch { case _: NumberFormatException => DoubleItem(Double.NaN) })
-        case Some(BooleanItem(b))   => Iterator.single(DoubleItem(if (b) 1.0 else 0.0))
-        case Some(other) =>
-          throw new RumbleException("XPTY0004", s"cannot cast to double: $other")
-      }
-
-    case "boolean" =>
-      requireArgs(1)
-      Iterator.single(BooleanItem(arg(0).effectiveBoolean(ctx)))
-
-    case "not" =>
-      requireArgs(1)
-      Iterator.single(BooleanItem(!arg(0).effectiveBoolean(ctx)))
-
-    case "abs" =>
-      requireArgs(1)
-      arg(0).materializeAtMostOne(ctx) match {
-        case None                  => Iterator.empty
-        case Some(IntItem(v))      => Iterator.single(IntItem(math.abs(v)))
-        case Some(DoubleItem(v))   => Iterator.single(DoubleItem(math.abs(v)))
-        case Some(DecimalItem(v))  => Iterator.single(DecimalItem(v.abs))
-        case Some(other) =>
-          throw new RumbleException("XPTY0004", s"abs() on non-number: $other")
-      }
-
-    case "round" =>
-      arg(0).materializeAtMostOne(ctx) match {
-        case None    => Iterator.empty
-        case Some(i) =>
-          val digits =
-            if (args.size >= 2)
-              arg(1).materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(0)
-            else 0
-          val f = math.pow(10, digits)
-          Iterator.single(
-            if (digits == 0 && i.isInteger) i
-            else DoubleItem(math.round(i.numericDouble * f) / f))
-      }
-
-    case "string-length" =>
-      requireArgs(1)
-      arg(0).materializeAtMostOne(ctx) match {
-        case None    => Iterator.single(IntItem(0))
-        case Some(i) => Iterator.single(IntItem(i.castToString.length.toLong))
-      }
-
-    case "substring" =>
-      val s     = arg(0).materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
-      val start = arg(1).materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(1)
-      val from  = math.max(0, start - 1)
-      val res =
-        if (args.size >= 3) {
-          val len = arg(2).materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(0)
-          s.slice(from, from + math.max(0, len))
-        } else s.drop(from)
-      Iterator.single(StringItem(res))
-
-    case "lower-case" =>
-      requireArgs(1)
-      Iterator.single(StringItem(
-        arg(0).materializeAtMostOne(ctx).map(_.castToString).getOrElse("").toLowerCase))
-
-    case "upper-case" =>
-      requireArgs(1)
-      Iterator.single(StringItem(
-        arg(0).materializeAtMostOne(ctx).map(_.castToString).getOrElse("").toUpperCase))
-
-    case "contains" =>
-      requireArgs(2)
-      val s = arg(0).materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
-      val t = arg(1).materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
-      Iterator.single(BooleanItem(s.contains(t)))
-
-    case "starts-with" =>
-      requireArgs(2)
-      val s = arg(0).materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
-      val t = arg(1).materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
-      Iterator.single(BooleanItem(s.startsWith(t)))
-
-    case "concat" =>
-      Iterator.single(StringItem(
-        args.map(_.materializeAtMostOne(ctx).map(_.castToString).getOrElse("")).mkString))
-
-    case "string-join" =>
-      val sep =
-        if (args.size >= 2) arg(1).materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
-        else ""
-      Iterator.single(StringItem(
-        arg(0).localIterator(ctx).map(_.castToString).mkString(sep)))
-
-    case other =>
-      throw new StaticException("XPST0017", s"unknown function: $other()")
-  }
+/** A builtin function: the range of argument counts it accepts and the
+  * constructor of its runtime iterator. */
+final case class Builtin(minArgs: Int, maxArgs: Int,
+                         make: List[RuntimeIterator] => RuntimeIterator) {
+  def arity: String =
+    if (minArgs == maxArgs) s"$minArgs"
+    else if (maxArgs == Int.MaxValue) s"$minArgs or more"
+    else s"$minArgs to $maxArgs"
 }
 
-object FunctionIterator {
+/** A call of a builtin whose result `body` computes from the argument
+  * iterators. Aggregations over RDD-backed arguments run as Spark actions
+  * (count/sum/... on the cluster, §4.1.2 / §5.5) and return a local
+  * singleton — invisible to the caller. */
+final class FunctionIterator(args: List[RuntimeIterator], body: Builtins.Body)
+    extends RuntimeIterator {
+  protected def compute(ctx: DynamicContext): Iterator[Item] = body(args, ctx)
+}
+
+/** The builtin function library. The translator resolves every function
+  * call here (§5.4), so an unknown name or an argument count outside the
+  * builtin's range is a static error (XPST0017) raised before execution. */
+object Builtins {
+
+  /** A builtin's semantics: argument iterators and context in, items out. */
+  type Body = (List[RuntimeIterator], DynamicContext) => Iterator[Item]
+
+  private def fn(minArgs: Int, maxArgs: Int)(body: Body): Builtin =
+    Builtin(minArgs, maxArgs, new FunctionIterator(_, body))
+  private def unary(body: Body): Builtin = fn(1, 1)(body)
+
+  val registry: Map[String, Builtin] = Map(
+    "json-file"   -> Builtin(1, 2, a => new JsonFileIterator(a.head, a.lift(1))),
+    "parallelize" -> Builtin(1, 2, a => new ParallelizeIterator(a.head, a.lift(1))),
+    // aggregates
+    "count"           -> unary((a, ctx) => Iterator.single(IntItem(a.head.count(ctx)))),
+    "sum"             -> unary(sum),
+    "avg"             -> unary(avg),
+    "min"             -> unary(extreme(-1)),
+    "max"             -> unary(extreme(1)),
+    "empty"           -> unary((a, ctx) => Iterator.single(BooleanItem(!nonEmpty(a.head, ctx)))),
+    "exists"          -> unary((a, ctx) => Iterator.single(BooleanItem(nonEmpty(a.head, ctx)))),
+    "distinct-values" -> unary(distinctValues),
+    // sequences
+    "head"        -> unary((a, ctx) => a.head.localIterator(ctx).take(1)),
+    "tail"        -> unary((a, ctx) => a.head.localIterator(ctx).drop(1)),
+    "subsequence" -> fn(2, 3)(subsequence),
+    // objects and arrays
+    "keys" -> unary((a, ctx) => a.head.localIterator(ctx).flatMap {
+      case o: ObjectItem => o.keys.map(StringItem.apply)
+      case _             => Vector.empty
+    }),
+    "values" -> unary((a, ctx) => a.head.localIterator(ctx).flatMap {
+      case ObjectItem(fields) => fields.map(_._2)
+      case _                  => Vector.empty
+    }),
+    "size" -> unary((a, ctx) => a.head.materializeAtMostOne(ctx) match {
+      case None                => Iterator.empty
+      case Some(ArrayItem(vs)) => Iterator.single(IntItem(vs.size))
+      case Some(other) =>
+        throw new RumbleException("XPTY0004", s"size() expects an array, got $other")
+    }),
+    // scalars
+    "string"   -> unary((a, ctx) => Iterator.single(StringItem(str(a.head, ctx)))),
+    "integer"  -> unary(integer),
+    "double"   -> unary(double),
+    "number"   -> unary(double),
+    "boolean"  -> unary((a, ctx) => Iterator.single(BooleanItem(a.head.effectiveBoolean(ctx)))),
+    "not"      -> unary((a, ctx) => Iterator.single(BooleanItem(!a.head.effectiveBoolean(ctx)))),
+    "abs"      -> unary(abs),
+    "round"    -> fn(1, 2)(round),
+    // strings
+    "string-length" -> unary((a, ctx) => Iterator.single(IntItem(str(a.head, ctx).length.toLong))),
+    "substring"     -> fn(2, 3)(substring),
+    "lower-case"    -> unary((a, ctx) => Iterator.single(StringItem(str(a.head, ctx).toLowerCase))),
+    "upper-case"    -> unary((a, ctx) => Iterator.single(StringItem(str(a.head, ctx).toUpperCase))),
+    "contains"      -> fn(2, 2)((a, ctx) =>
+      Iterator.single(BooleanItem(str(a(0), ctx).contains(str(a(1), ctx))))),
+    "starts-with"   -> fn(2, 2)((a, ctx) =>
+      Iterator.single(BooleanItem(str(a(0), ctx).startsWith(str(a(1), ctx))))),
+    "concat"        -> fn(0, Int.MaxValue)((a, ctx) =>
+      Iterator.single(StringItem(a.map(str(_, ctx)).mkString))),
+    "string-join"   -> fn(1, 2)((a, ctx) =>
+      Iterator.single(StringItem(
+        a.head.localIterator(ctx).map(_.castToString).mkString(a.lift(1).fold("")(str(_, ctx)))))),
+  )
+
+  /** The runtime iterator of a call to `name`, or XPST0017 if no builtin
+    * of that name takes `args.size` arguments. */
+  def resolve(name: String, args: List[RuntimeIterator]): RuntimeIterator =
+    registry.get(name) match {
+      case None => throw new StaticException("XPST0017", s"unknown function: $name()")
+      case Some(b) if args.size < b.minArgs || args.size > b.maxArgs =>
+        throw new StaticException(
+          "XPST0017", s"$name() expects ${b.arity} argument(s), got ${args.size}")
+      case Some(b) => b.make(args)
+    }
+
+  /** The string value of an at-most-one argument; "" when empty. */
+  private def str(a: RuntimeIterator, ctx: DynamicContext): String =
+    a.materializeAtMostOne(ctx).map(_.castToString).getOrElse("")
+
+  private def nonEmpty(a: RuntimeIterator, ctx: DynamicContext): Boolean =
+    if (a.isRDD(ctx)) !a.getRDD(ctx).isEmpty() else a.localIterator(ctx).hasNext
+
+  // ----------------------------------------------------------- aggregates
+
+  /** Running `sum`: integers add exactly while every item is an integer;
+    * from the first non-integer on the sum is a double. Both paths fold
+    * it, so an RDD of integers sums to an integer as it does locally. */
+  private final case class SumAcc(allInt: Boolean, ints: Long, doubles: Double) {
+    private def asDouble: Double = if (allInt) ints.toDouble else doubles
+    def add(i: Item): SumAcc =
+      if (allInt && i.isInteger) copy(ints = ints + i.asInstanceOf[IntItem].value)
+      else SumAcc(allInt = false, ints, asDouble + i.numericDouble)
+    def merge(o: SumAcc): SumAcc =
+      if (allInt && o.allInt) SumAcc(allInt = true, ints + o.ints, 0.0)
+      else SumAcc(allInt = false, 0L, asDouble + o.asDouble)
+    def result: Item = if (allInt) IntItem(ints) else DoubleItem(doubles)
+  }
+
+  private def sum(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
+    val zero = SumAcc(allInt = true, 0L, 0.0)
+    val acc =
+      if (a.head.isRDD(ctx)) a.head.getRDD(ctx).aggregate(zero)(_ add _, _ merge _)
+      else a.head.localIterator(ctx).foldLeft(zero)(_ add _)
+    Iterator.single(acc.result)
+  }
+
+  private def avg(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
+    val (s, n) =
+      if (a.head.isRDD(ctx))
+        a.head.getRDD(ctx).map(i => (i.numericDouble, 1L))
+          .fold((0.0, 0L)) { case ((s1, n1), (s2, n2)) => (s1 + s2, n1 + n2) }
+      else a.head.localIterator(ctx).foldLeft((0.0, 0L)) { case ((s1, n1), i) =>
+        (s1 + i.numericDouble, n1 + 1)
+      }
+    if (n == 0) Iterator.empty else Iterator.single(DoubleItem(s / n))
+  }
+
+  /** `min` (sign -1) or `max` (sign 1); ties keep the earlier item. */
+  private def extreme(sign: Int): Body = (a, ctx) => {
+    val pick: (Item, Item) => Item =
+      (best, x) => if (Integer.signum(Item.compareAtomics(x, best)) == sign) x else best
+    if (a.head.isRDD(ctx)) {
+      val rdd = a.head.getRDD(ctx)
+      if (rdd.isEmpty()) Iterator.empty else Iterator.single(rdd.reduce(pick))
+    } else {
+      val it = a.head.localIterator(ctx)
+      if (it.hasNext) Iterator.single(it.reduce(pick)) else Iterator.empty
+    }
+  }
+
+  private def distinctValues(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    if (a.head.isRDD(ctx))
+      RddUtils.collectWithCap(
+        a.head.getRDD(ctx).map(i => (atomicKey(i), i)).reduceByKey((x, _) => x).map(_._2),
+        ctx.conf)
+    else {
+      val seen = scala.collection.mutable.HashSet.empty[(Int, String, Double)]
+      a.head.localIterator(ctx).filter(i => seen.add(atomicKey(i)))
+    }
+
   /** Normalized atomic identity for distinct-values: numerics collapse by
     * value across integer/decimal/double. */
   def atomicKey(i: Item): (Int, String, Double) = i match {
-    case NullItem        => (0, "", 0.0)
-    case BooleanItem(b)  => (1, "", if (b) 1.0 else 0.0)
-    case s if s.isString => (2, s.stringValue, 0.0)
+    case NullItem         => (0, "", 0.0)
+    case BooleanItem(b)   => (1, "", if (b) 1.0 else 0.0)
+    case s if s.isString  => (2, s.stringValue, 0.0)
     case n if n.isNumeric => (3, "", n.numericDouble)
-    case other           => (4, other.toString, 0.0)
+    case other            => (4, other.toString, 0.0)
+  }
+
+  // ------------------------------------------------------------ sequences
+
+  private def subsequence(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
+    val it      = a(0).localIterator(ctx)
+    val start   = a(1).materializeAtMostOne(ctx).map(_.numericDouble.toLong).getOrElse(1L)
+    val len     = a.lift(2).flatMap(_.materializeAtMostOne(ctx)).map(_.numericDouble.toLong)
+    val dropped = it.drop(math.max(0L, start - 1).toInt)
+    len.fold(dropped)(l => dropped.take(l.toInt))
+  }
+
+  // -------------------------------------------------------------- scalars
+
+  private def integer(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    a.head.materializeAtMostOne(ctx) match {
+      case None => Iterator.empty
+      case Some(i) if i.isNumeric => Iterator.single(IntItem(i.numericDouble.toLong))
+      case Some(s) if s.isString  =>
+        Iterator.single(IntItem(s.stringValue.trim.toDouble.toLong))
+      case Some(BooleanItem(b))   => Iterator.single(IntItem(if (b) 1 else 0))
+      case Some(other) =>
+        throw new RumbleException("XPTY0004", s"cannot cast to integer: $other")
+    }
+
+  private def double(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    a.head.materializeAtMostOne(ctx) match {
+      case None => Iterator.empty
+      case Some(i) if i.isNumeric => Iterator.single(DoubleItem(i.numericDouble))
+      case Some(s) if s.isString  =>
+        Iterator.single(
+          try DoubleItem(s.stringValue.trim.toDouble)
+          catch { case _: NumberFormatException => DoubleItem(Double.NaN) })
+      case Some(BooleanItem(b))   => Iterator.single(DoubleItem(if (b) 1.0 else 0.0))
+      case Some(other) =>
+        throw new RumbleException("XPTY0004", s"cannot cast to double: $other")
+    }
+
+  private def abs(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    a.head.materializeAtMostOne(ctx) match {
+      case None                 => Iterator.empty
+      case Some(IntItem(v))     => Iterator.single(IntItem(math.abs(v)))
+      case Some(DoubleItem(v))  => Iterator.single(DoubleItem(math.abs(v)))
+      case Some(DecimalItem(v)) => Iterator.single(DecimalItem(v.abs))
+      case Some(other) =>
+        throw new RumbleException("XPTY0004", s"abs() on non-number: $other")
+    }
+
+  private def round(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    a.head.materializeAtMostOne(ctx) match {
+      case None    => Iterator.empty
+      case Some(i) =>
+        val digits =
+          a.lift(1).flatMap(_.materializeAtMostOne(ctx)).map(_.numericDouble.toInt).getOrElse(0)
+        val f = math.pow(10, digits)
+        Iterator.single(
+          if (digits == 0 && i.isInteger) i
+          else DoubleItem(math.round(i.numericDouble * f) / f))
+    }
+
+  private def substring(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
+    val s     = str(a(0), ctx)
+    val start = a(1).materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(1)
+    val from  = math.max(0, start - 1)
+    val res = a.lift(2) match {
+      case Some(l) =>
+        val len = l.materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(0)
+        s.slice(from, from + math.max(0, len))
+      case None => s.drop(from)
+    }
+    Iterator.single(StringItem(res))
   }
 }

@@ -7,18 +7,18 @@ import repro.core.model._
   *
   * Two execution APIs, between which consumers switch seamlessly:
   *
-  *  - '''local pull API''' (§5.5): `open(ctx)` / `hasNext` / `next()` /
-  *    `reset(ctx)` / `close()`. If the iterator is RDD-capable in the given
-  *    context, opening it locally transparently *materializes* the RDD
-  *    (streamed via `toLocalIterator`, warning past the configured cap).
+  *  - '''local API''' (§5.5): `localIterator(ctx)` streams the result. If
+  *    the iterator is RDD-capable in the given context, it transparently
+  *    *materializes* the RDD (streamed via `toLocalIterator`, warning past
+  *    the configured cap). An iterator holds no evaluation state, so one
+  *    compiled tree can be evaluated any number of times.
   *  - '''RDD API''' (§5.6): `isRDD(ctx)` / `getRDD(ctx)` return the sequence
   *    of items as an `RDD[Item]` built by applying Spark transformations to
   *    the children's RDDs. Never available inside Spark closures
   *    (`ctx.insideClosure`), since Spark jobs do not nest.
   *
-  * Subclasses implement `compute` (local semantics as a lazy iterator — the
-  * pull API is layered on top, keeping streaming behaviour) and optionally
-  * the RDD API.
+  * Subclasses implement `compute` (local semantics as a lazy iterator) and
+  * optionally the RDD API and a cheaper `count`.
   */
 abstract class RuntimeIterator extends Serializable {
 
@@ -32,21 +32,18 @@ abstract class RuntimeIterator extends Serializable {
   def getRDD(ctx: DynamicContext): RDD[Item] =
     throw new RumbleException("RBML0001", s"${getClass.getSimpleName} has no RDD API")
 
-  // ------------------------------------------------------ local pull API
-
-  @transient private var current: Iterator[Item] = _
-
-  def open(ctx: DynamicContext): Unit  = { current = localIterator(ctx) }
-  def hasNext: Boolean                 = current.hasNext
-  def next(): Item                     = current.next()
-  def reset(ctx: DynamicContext): Unit = open(ctx)
-  def close(): Unit                    = { current = null }
-
   /** Local iterator over the result, collecting from the RDD if this
     * expression is Spark-backed (the §5.5 seamless switch). */
   final def localIterator(ctx: DynamicContext): Iterator[Item] =
     if (isRDD(ctx)) RddUtils.collectWithCap(getRDD(ctx), ctx.conf)
     else compute(ctx)
+
+  /** Number of items in the result: a `count` action when the result is an
+    * RDD, else a local drain. FLWORs override it to count without
+    * evaluating a return expression that yields one item per tuple. */
+  def count(ctx: DynamicContext): Long =
+    if (isRDD(ctx)) getRDD(ctx).count()
+    else localIterator(ctx).foldLeft(0L)((n, _) => n + 1)
 
   /** Fully materialized result (used for singleton/small sequences). */
   final def materialize(ctx: DynamicContext): List[Item] = localIterator(ctx).toList

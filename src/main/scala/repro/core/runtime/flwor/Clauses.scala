@@ -401,25 +401,24 @@ final class SimpleFlworRddIterator(
     singletonReturn: Boolean,
 ) extends RuntimeIterator {
 
-  /** Count as a filter+count on the source RDD when possible. */
-  def tryCountPushdown(ctx: DynamicContext): Option[Long] =
-    if (isRDD(ctx)) Some(countRdd(ctx, singletonReturn)) else None
-
   override def isRDD(ctx: DynamicContext): Boolean = source.isRDD(ctx)
+
+  /** The source items that pass every `where`, as an RDD. */
+  private def selected(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
+    val v    = varName
+    val ws   = wheres
+    val base = ctx.enterClosure
+    source.getRDD(ctx).filter { item =>
+      val c = base.bind(v, item :: Nil)
+      ws.forall(_.effectiveBoolean(c))
+    }
+  }
 
   override def getRDD(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
     val v    = varName
-    val ws   = wheres
     val re   = retExpr
     val base = ctx.enterClosure
-    source.getRDD(ctx).mapPartitions { items =>
-      items
-        .filter { item =>
-          val c = base.bind(v, item :: Nil)
-          ws.forall(_.effectiveBoolean(c))
-        }
-        .flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
-    }
+    selected(ctx).flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
   }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
@@ -430,18 +429,11 @@ final class SimpleFlworRddIterator(
       }
       .flatMap(item => retExpr.localIterator(ctx.bind(varName, item :: Nil)))
 
-  /** Count without evaluating the return expression when it provably
-    * yields one item per input (see FlworIterator). */
-  def countRdd(ctx: DynamicContext, singletonReturn: Boolean): Long = {
-    val v    = varName
-    val ws   = wheres
-    val base = ctx.enterClosure
-    if (!singletonReturn) getRDD(ctx).count()
-    else source.getRDD(ctx).filter { item =>
-      val c = base.bind(v, item :: Nil)
-      ws.forall(_.effectiveBoolean(c))
-    }.count()
-  }
+  /** Counts the selected source items without evaluating the return
+    * expression when it provably yields one item per input (see
+    * FlworIterator). */
+  override def count(ctx: DynamicContext): Long =
+    if (singletonReturn && isRDD(ctx)) selected(ctx).count() else super.count(ctx)
 }
 
 /** The whole FLWOR expression (clause chain + `return`, paper §4.10): an
@@ -462,10 +454,6 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
                           retReads: Vector[String], singletonReturn: Boolean = false)
     extends RuntimeIterator {
 
-  /** Count the FLWOR's results as a DataFrame count when provably equal. */
-  def tryCountPushdown(ctx: DynamicContext): Option[Long] =
-    if (singletonReturn && isRDD(ctx)) Some(last.getDataFrame(ctx).count()) else None
-
   override def isRDD(ctx: DynamicContext): Boolean =
     !ctx.insideClosure && last.isDataFrame(ctx)
 
@@ -481,4 +469,8 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     last.tupleIterator(ctx).flatMap(t => retExpr.localIterator(ctx.bindAll(t.bindings)))
+
+  /** Counts the DataFrame's tuples when the return yields one item each. */
+  override def count(ctx: DynamicContext): Long =
+    if (singletonReturn && isRDD(ctx)) last.getDataFrame(ctx).count() else super.count(ctx)
 }

@@ -30,7 +30,8 @@ object StaticContext {
 
 /** Translates the expression/clause tree into runtime iterators (paper
   * §5.4), checking variable references against the static context and
-  * raising static errors before execution. */
+  * function calls against the builtin registry, and raising static errors
+  * before execution. */
 object Translator {
 
   def translate(ast: ExprAst): RuntimeIterator = translateExpr(ast, StaticContext.root)
@@ -85,13 +86,7 @@ object Translator {
     case PredicateExpr(t, p) =>
       new PredicateIterator(translateExpr(t, sc), translateExpr(p, sc.withContextItem))
 
-    case FunctionCallExpr(name, args) =>
-      val compiled = args.map(translateExpr(_, sc))
-      name match {
-        case "json-file"   => new JsonFileIterator(compiled.head, compiled.drop(1).headOption)
-        case "parallelize" => new ParallelizeIterator(compiled.head, compiled.drop(1).headOption)
-        case _             => new FunctionIterator(name, compiled)
-      }
+    case FunctionCallExpr(name, args) => Builtins.resolve(name, args.map(translateExpr(_, sc)))
 
     case FlworExpr(clauses, ret) => translateFlwor(clauses, ret, sc)
   }

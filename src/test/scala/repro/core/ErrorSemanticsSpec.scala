@@ -1,13 +1,16 @@
 package repro.core
 
 import repro.core.model.{RumbleException, StaticException}
+import repro.core.runtime.Builtins
 
 /** Error semantics: static errors raised before execution, dynamic errors
   * (type errors, incompatible comparisons, division by zero) at runtime. */
 class ErrorSemanticsSpec extends RumbleSpec {
 
-  private def staticError(q: String): Unit =
-    assertThrows[StaticException](rumbleLocal.compile(q))
+  private def staticError(q: String, code: String = "XPST"): Unit = {
+    val e = intercept[StaticException](rumbleLocal.compile(q))
+    assert(e.code.startsWith(code), s"$q: expected $code, got ${e.code}")
+  }
 
   test("undeclared variable is a static error (XPST0008)") { staticError("$nope") }
   test("undeclared variable inside FLWOR") { staticError("for $x in 1 return $y") }
@@ -25,6 +28,18 @@ class ErrorSemanticsSpec extends RumbleSpec {
   test("count() arity is checked") {
     val e = intercept[RumbleException](rumbleLocal.run("count(1, 2)"))
     assert(e.code == "XPST0017")
+  }
+  test("wrong arity, or an unknown function in a dead branch, fails compile (XPST0017)") {
+    Seq("substring(\"abc\")", "round()", "subsequence((1,2))", "string-join()",
+        "json-file()", "parallelize()", "count(1, 2)", "if (true) then 1 else nosuchfn(1)")
+      .foreach(staticError(_, "XPST0017"))
+  }
+  test("every registered builtin checks its arity at compile time") {
+    def call(name: String, n: Int) = s"$name(${Seq.fill(n)("1").mkString(", ")})"
+    Builtins.registry.foreach { case (name, b) =>
+      if (b.maxArgs < Int.MaxValue) staticError(call(name, b.maxArgs + 1), "XPST0017")
+      if (b.minArgs > 0) staticError(call(name, b.minArgs - 1), "XPST0017")
+    }
   }
   test("grouping variable must be in scope") {
     staticError("for $x in 1 group by $zzz return 1")

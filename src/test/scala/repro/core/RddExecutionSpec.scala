@@ -48,10 +48,23 @@ class RddExecutionSpec extends RumbleSpec {
 
   test("count/sum/avg/min/max as Spark actions") {
     assert(evalSpark("count(parallelize(1 to 1000))") == "1000")
-    assert(evalSpark("sum(parallelize(1 to 100))") == "5050.0")
+    assert(evalSpark("sum(parallelize(1 to 100))") == "5050")
     assert(evalSpark("avg(parallelize(1 to 100))") == "50.5")
     assert(evalSpark("min(parallelize((5, 3, 9)))") == "3")
     assert(evalSpark("max(parallelize((5, 3, 9)))") == "9")
+  }
+
+  test("sum gives the local answer on Spark: integer, mixed and empty input") {
+    Seq("sum(parallelize((1, 2, 3)))"                    -> "6",
+        "sum(parallelize((9007199254740993, 1), 2))"     -> "9007199254740994",
+        "sum(parallelize((1, 2.5, 3, 4.5), 4))"          -> "11.0",
+        "sum(parallelize((1.5, 2, 3), 3))"               -> "6.5",
+        "sum(parallelize(()))"                           -> "0",
+        "sum(parallelize(1 to 10)[$$ gt 99])"            -> "0")
+      .foreach { case (q, expected) =>
+        assert(evalLocal(q) == expected, q)
+        assert(evalSpark(q) == expected, q)
+      }
   }
 
   test("empty/exists as Spark actions") {

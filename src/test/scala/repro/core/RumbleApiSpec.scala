@@ -63,19 +63,49 @@ class RumbleApiSpec extends RumbleSpec {
     assert(it.materialize(ctx) == List(IntItem(2)))
   }
 
-  test("pull API contract: open/hasNext/next/reset/close (§5.5)") {
+  test("local API contract: localIterator re-evaluates; runIterator streams (§5.5)") {
     val it  = rumbleLocal.compile("(10, 20)")
     val ctx = repro.core.runtime.DynamicContext.root(
       repro.core.runtime.RumbleConf(forceLocal = true))
-    it.open(ctx)
-    assert(it.hasNext)
-    assert(it.next() == IntItem(10))
-    assert(it.next() == IntItem(20))
-    assert(!it.hasNext)
-    it.reset(ctx)
-    assert(it.next() == IntItem(10))
-    it.close()
+    val first = it.localIterator(ctx)
+    assert(first.hasNext)
+    assert(first.next() == IntItem(10))
+    assert(first.next() == IntItem(20))
+    assert(!first.hasNext)
+    assert(it.localIterator(ctx).toList == List(IntItem(10), IntItem(20)))
+    // the third item raises FOAR0001, so only a streaming result yields two
+    val streamed = rumbleLocal.runIterator("for $x in (1, 2, 0) return 2 idiv $x")
+    assert(streamed.take(2).toList == List(IntItem(2), IntItem(1)))
   }
+
+  private val countShapes = Seq(
+    ("fast path", "for $i in parallelize(1 to 100) where $i mod 3 eq 0 return $i", 33),
+    ("DataFrame",
+     "for $i in parallelize(1 to 100) let $g := $i mod 3 let $t := 0 where $g eq $t return $i", 33),
+    ("multi-item return",
+     "for $i in parallelize(1 to 100) where $i mod 3 eq 0 return ($i, $i)", 66),
+    ("multi-item return, DataFrame",
+     "for $i in parallelize(1 to 100) let $g := $i mod 3 where $g eq 0 return ($i, $i)", 66),
+  )
+
+  for ((shape, q, n) <- countShapes; (path, r) <- Seq("local" -> rumbleLocal, "Spark" -> rumble))
+    test(s"runCount, count() and run().size agree: $shape, $path") {
+      assert(r.run(q).size == n)
+      assert(r.runCount(q) == n)
+      assert(r.run(s"count($q)") == List(IntItem(n)))
+    }
+
+  // A return that yields one item per tuple is not evaluated by a count
+  // (XQuery 3.1 §2.3.4 lets the engine skip it), so its error never fires.
+  for ((shape, q) <- Seq(
+      "fast path" -> "for $i in parallelize(1 to 100) where $i mod 3 eq 0 return {\"x\": 1 div 0}",
+      "DataFrame" -> ("for $i in parallelize(1 to 100) let $g := $i mod 3 let $t := 0 " +
+                      "where $g eq $t return {\"x\": 1 div 0}")))
+    test(s"count pushdown skips a singleton return: $shape") {
+      expectError(q, "FOAR0001")(rumbleLocal.run)
+      assert(rumble.runCount(q) == 33)
+      assert(rumble.run(s"count($q)") == List(IntItem(33)))
+    }
 
   test("materialization cap warns but does not fail (§5.5)") {
     val r = new Rumble(spark, repro.core.runtime.RumbleConf(materializationCap = 10))
