@@ -4,7 +4,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import repro.core.model._
 
-/** Engine configuration.
+/** Engine configuration. `eagerInput` and `perItemOverhead` serve only the
+  * Xidel stand-in (`SingleThreadedEngines.xidelSim`).
   *
   * @param forceLocal          disable all Spark execution (used by the
   *                            single-threaded Zorba/Xidel stand-ins, §6.3)
@@ -15,7 +16,6 @@ import repro.core.model._
   *                            past this many items — models the 16 GB laptop
   *                            OOMs of the paper's single-threaded baselines
   * @param engineName          name used in heap-model errors / warnings
-  * @param defaultParallelism  partitions for json-file when not specified
   * @param eagerInput          parse the *whole* input file into memory before
   *                            evaluation starts (models Xidel's DOM-style
   *                            loading; counts against the heap model)
@@ -28,7 +28,6 @@ final case class RumbleConf(
     materializationCap: Long = 10_000_000L,
     heapModelCap: Option[Long] = None,
     engineName: String = "rumble",
-    defaultParallelism: Option[Int] = None,
     eagerInput: Boolean = false,
     perItemOverhead: Int = 0,
 ) extends Serializable

@@ -219,52 +219,53 @@ final class ArrayConstructorIterator(expr: Option[RuntimeIterator]) extends Runt
     Iterator.single(ArrayItem(expr.map(_.materialize(ctx).toVector).getOrElse(Vector.empty)))
 }
 
-/** `e.key` — object lookup: objects yield their member (if present),
-  * non-objects yield nothing. flatMap on the RDD path (paper §4.1.2). */
-final class ObjectLookupIterator(target: RuntimeIterator, key: String) extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    target.localIterator(ctx).flatMap(_.lookup(key))
+/** Navigation from each item of `target` (paper §4.1.2): `step` builds the
+  * per-item function on the driver, and both paths apply it, locally as an
+  * iterator flatMap and on the RDD path as a flatMap transformation. */
+abstract class NavigationIterator(target: RuntimeIterator) extends RuntimeIterator {
+  protected def step(ctx: DynamicContext): Item => IterableOnce[Item]
+  protected def compute(ctx: DynamicContext): Iterator[Item] = {
+    val f = step(ctx)
+    target.localIterator(ctx).flatMap(f)
+  }
   override def isRDD(ctx: DynamicContext): Boolean = target.isRDD(ctx)
   override def getRDD(ctx: DynamicContext): RDD[Item] = {
+    val f = step(ctx)
+    target.getRDD(ctx).flatMap(f)
+  }
+}
+
+/** `e.key` — object lookup: objects yield their member (if present),
+  * non-objects yield nothing. */
+final class ObjectLookupIterator(target: RuntimeIterator, key: String)
+    extends NavigationIterator(target) {
+  protected def step(ctx: DynamicContext): Item => IterableOnce[Item] = {
     val k = key
-    target.getRDD(ctx).flatMap(_.lookup(k))
+    _.lookup(k)
   }
 }
 
 /** `e[]` — array unboxing: arrays yield their members, others nothing. */
-final class ArrayUnboxIterator(target: RuntimeIterator) extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    target.localIterator(ctx).flatMap(_.arrayValues)
-  override def isRDD(ctx: DynamicContext): Boolean = target.isRDD(ctx)
-  override def getRDD(ctx: DynamicContext): RDD[Item] =
-    target.getRDD(ctx).flatMap(_.arrayValues)
+final class ArrayUnboxIterator(target: RuntimeIterator) extends NavigationIterator(target) {
+  protected def step(ctx: DynamicContext): Item => IterableOnce[Item] = _.arrayValues
 }
 
-/** `e[[i]]` — array member lookup, 1-based; out of range yields nothing. */
+/** `e[[i]]` — array member lookup, 1-based; out of range or an empty index
+  * yields nothing. The index is evaluated once, on the driver. */
 final class ArrayLookupIterator(target: RuntimeIterator, index: RuntimeIterator)
-    extends RuntimeIterator {
-  private def idx(ctx: DynamicContext): Option[Long] =
-    index.materializeAtMostOne(ctx).map {
-      case i if i.isNumeric => i.numericDouble.toLong
-      case other => throw new RumbleException("XPTY0004", s"array index must be numeric: $other")
+    extends NavigationIterator(target) {
+  protected def step(ctx: DynamicContext): Item => IterableOnce[Item] =
+    index.materializeAtMostOne(ctx) match {
+      case None => _ => None
+      case Some(i) if i.isNumeric =>
+        val n = i.numericDouble.toLong
+        it => {
+          val vs = it.arrayValues
+          if (it.isArray && n >= 1 && n <= vs.size) Some(vs((n - 1).toInt)) else None
+        }
+      case Some(other) =>
+        throw new RumbleException("XPTY0004", s"array index must be numeric: $other")
     }
-  protected def compute(ctx: DynamicContext): Iterator[Item] = idx(ctx) match {
-    case None    => Iterator.empty
-    case Some(n) =>
-      target.localIterator(ctx).flatMap { it =>
-        val vs = it.arrayValues
-        if (it.isArray && n >= 1 && n <= vs.size) Some(vs((n - 1).toInt)) else None
-      }
-  }
-  override def isRDD(ctx: DynamicContext): Boolean = target.isRDD(ctx)
-  override def getRDD(ctx: DynamicContext): RDD[Item] = idx(ctx) match {
-    case None    => target.getRDD(ctx).context.emptyRDD[Item]
-    case Some(n) =>
-      target.getRDD(ctx).flatMap { it =>
-        val vs = it.arrayValues
-        if (it.isArray && n >= 1 && n <= vs.size) Some(vs((n - 1).toInt)) else None
-      }
-  }
 }
 
 /** `e[p]` — predicate. For each input item, `$$` is bound to the item; a

@@ -8,7 +8,8 @@ import repro.core.model._
 
 /** `json-file(path[, partitions])` (paper §5.7): reads a JSON-Lines file as
   * a sequence of items. On the RDD path it is `textFile` + `mapPartitions`
-  * with the streaming JSON parser; on the local path (forced-local engines,
+  * with the streaming JSON parser, in `partitions` partitions or else
+  * Spark's default parallelism; on the local path (forced-local engines,
   * closures) it streams the file line by line without Spark.
   */
 final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[RuntimeIterator])
@@ -29,7 +30,6 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
     val parts = partitions
       .flatMap(_.materializeAtMostOne(ctx))
       .map(_.numericDouble.toInt)
-      .orElse(ctx.conf.defaultParallelism)
       .getOrElse(sc.defaultParallelism)
     sc.textFile(p, parts)
       .mapPartitions(_.filter(_.trim.nonEmpty).map(JsonParser.parseLine))

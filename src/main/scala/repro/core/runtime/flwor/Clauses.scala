@@ -5,24 +5,24 @@ import org.apache.spark.sql.functions.{array, col, collect_list, collect_set, ex
 import org.apache.spark.sql.types.{BinaryType, StructField, StructType}
 import repro.core.model._
 import repro.core.runtime._
-import scala.jdk.CollectionConverters._
 
 /** Base of all FLWOR clause runtime iterators (paper §4.2–4.10, §5.8).
   *
   * A clause consumes the tuple stream of its parent clause and produces its
-  * own. Two execution paths, switched seamlessly:
+  * own, in the form [[FlworIterator.path]] chooses for the whole chain:
   *
   *  - '''local''' (`tupleIterator`): pull-based stream of [[FlworTuple]]s;
-  *  - '''DataFrame''' (`isDataFrame`/`getDataFrame`): the tuple stream as a
-  *    DataFrame with one BinaryType column per variable (serialized item
-  *    sequence), per [[TupleSchema]]. Nested JSONiq expressions are
-  *    evaluated by UDFs that carry the serialized runtime iterators in
-  *    their closure and run them through the local API on the executors.
+  *  - '''DataFrame''' (`getDataFrame`): the tuple stream as a DataFrame with
+  *    one BinaryType column per variable (serialized item sequence), per
+  *    [[TupleSchema]]. Nested JSONiq expressions are evaluated by UDFs that
+  *    carry the serialized runtime iterators in their closure and run them
+  *    through the local API on the executors.
   */
 abstract class ClauseIterator extends Serializable {
+  /** The previous clause; `None` for the first clause of the FLWOR. */
+  def parent: Option[ClauseIterator]
   def outSchema: TupleSchema
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple]
-  def isDataFrame(ctx: DynamicContext): Boolean
   def getDataFrame(ctx: DynamicContext): DataFrame
 
   /** The UDF argument carrying the cells of `reads`, in that order: a clause
@@ -33,18 +33,6 @@ abstract class ClauseIterator extends Serializable {
   /** Project to exactly the out-schema columns, in schema order. */
   protected final def normalized(df: DataFrame): DataFrame =
     df.select(outSchema.cols.map(col): _*)
-
-  /** Local fallback: consume the parent as tuples even if it is DF-backed
-    * (used when a later clause cannot run on DataFrames). */
-  protected final def parentTuples(p: ClauseIterator, ctx: DynamicContext): Iterator[FlworTuple] =
-    if (p.isDataFrame(ctx)) {
-      val schema = p.outSchema
-      p.getDataFrame(ctx).toLocalIterator().asScala.map { row =>
-        FlworTuple(schema.entries.indices.map { i =>
-          schema.entries(i)._1 -> ItemSerde.deserializeSeq(row.getAs[Array[Byte]](i))
-        }.toMap)
-      }
-    } else p.tupleIterator(ctx)
 }
 
 /** `for $v in expr` (paper §4.4). As the *initial* clause over an
@@ -54,18 +42,13 @@ abstract class ClauseIterator extends Serializable {
   * `reads` lists the in-scope variables `expr` refers to (here and in the
   * other clauses). */
 final class ForClauseIterator(
-    parent: Option[ClauseIterator],
-    varName: String,
-    expr: RuntimeIterator,
+    val parent: Option[ClauseIterator],
+    val varName: String,
+    val expr: RuntimeIterator,
     reads: Vector[String],
     val outSchema: TupleSchema,
     newCol: String,
 ) extends ClauseIterator {
-
-  def isDataFrame(ctx: DynamicContext): Boolean = parent match {
-    case Some(p) => p.isDataFrame(ctx)
-    case None    => expr.isRDD(ctx)
-  }
 
   def getDataFrame(ctx: DynamicContext): DataFrame = parent match {
     case None =>
@@ -87,7 +70,7 @@ final class ForClauseIterator(
     case None =>
       expr.localIterator(ctx).map(item => FlworTuple(Map(varName -> List(item))))
     case Some(p) =>
-      parentTuples(p, ctx).flatMap { t =>
+      p.tupleIterator(ctx).flatMap { t =>
         expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
       }
   }
@@ -97,15 +80,13 @@ final class ForClauseIterator(
   * the initial clause the execution stays local (paper: "If the let clause
   * is the first clause, we do not support the creation of a DataFrame"). */
 final class LetClauseIterator(
-    parent: Option[ClauseIterator],
+    val parent: Option[ClauseIterator],
     varName: String,
     expr: RuntimeIterator,
     reads: Vector[String],
     val outSchema: TupleSchema,
     newCol: String,
 ) extends ClauseIterator {
-
-  def isDataFrame(ctx: DynamicContext): Boolean = parent.exists(_.isDataFrame(ctx))
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
     val p    = parent.get
@@ -124,20 +105,19 @@ final class LetClauseIterator(
     case None =>
       Iterator.single(FlworTuple(Map(varName -> expr.materialize(ctx))))
     case Some(p) =>
-      parentTuples(p, ctx).map { t =>
+      p.tupleIterator(ctx).map { t =>
         t.updated(varName, expr.materialize(ctx.bindAll(t.bindings)))
       }
   }
 }
 
 /** `where expr` (paper §4.6): selection via a UDF computing the EBV. */
-final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator,
+final class WhereClauseIterator(input: ClauseIterator, val expr: RuntimeIterator,
                                 val reads: Vector[String])
     extends ClauseIterator {
 
+  def parent: Option[ClauseIterator] = Some(input)
   val outSchema: TupleSchema = input.outSchema
-
-  def isDataFrame(ctx: DynamicContext): Boolean = input.isDataFrame(ctx)
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
     val pdf  = input.getDataFrame(ctx)
@@ -151,7 +131,7 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator,
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    parentTuples(input, ctx).filter(t => expr.effectiveBoolean(ctx.bindAll(t.bindings)))
+    input.tupleIterator(ctx).filter(t => expr.effectiveBoolean(ctx.bindAll(t.bindings)))
 }
 
 /** Encodes a grouping/sorting key sequence into the paper's three native
@@ -159,22 +139,16 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator,
   * value — "designed such that Spark SQL, only looking at these columns,
   * groups the rows the way required". */
 object KeyEncoder {
-  def encodeGroup(seq: List[Item]): (Int, String, Double) = {
-    val rank = Item.groupTypeRank(seq)
-    seq match {
-      case List(s) if s.isString  => (rank, s.stringValue, 0.0)
-      case List(n) if n.isNumeric => (rank, "", n.numericDouble)
-      case _                      => (rank, "", 0.0)
-    }
-  }
+  def encodeGroup(seq: List[Item]): (Int, String, Double) =
+    encode(Item.groupTypeRank(seq), seq)
 
-  def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String, Double) = {
-    val rank = Item.orderTypeRank(seq, emptyGreatest)
-    seq match {
-      case List(s) if s.isString  => (rank, s.stringValue, 0.0)
-      case List(n) if n.isNumeric => (rank, "", n.numericDouble)
-      case _                      => (rank, "", 0.0)
-    }
+  def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String, Double) =
+    encode(Item.orderTypeRank(seq, emptyGreatest), seq)
+
+  private def encode(rank: Int, seq: List[Item]): (Int, String, Double) = seq match {
+    case List(s) if s.isString  => (rank, s.stringValue, 0.0)
+    case List(n) if n.isNumeric => (rank, "", n.numericDouble)
+    case _                      => (rank, "", 0.0)
   }
 
   /** §4.8's first pass: all non-empty/non-null keys of one sort spec must
@@ -223,7 +197,7 @@ final class GroupByClauseIterator(
   private val nonKeys: Vector[String] = input.outSchema.vars.filterNot(keys.contains)
   private def modeOf(v: String)       = modes.getOrElse(v, GroupAggMode.Materialize)
 
-  def isDataFrame(ctx: DynamicContext): Boolean = input.isDataFrame(ctx)
+  def parent: Option[ClauseIterator] = Some(input)
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
     val inS = input.outSchema
@@ -258,7 +232,7 @@ final class GroupByClauseIterator(
       .empty[Vector[(Int, String, Double)],
              (FlworTuple, Array[scala.collection.mutable.ListBuffer[Item]], Array[Long])]
     var n = 0L
-    parentTuples(input, ctx).foreach { t =>
+    input.tupleIterator(ctx).foreach { t =>
       n += 1
       HeapModel.check(ctx, n)
       val key = keys.map(k => KeyEncoder.encodeGroup(t.bindings.getOrElse(k, Nil))).toVector
@@ -290,9 +264,8 @@ final class GroupByClauseIterator(
 final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
     extends ClauseIterator {
 
+  def parent: Option[ClauseIterator] = Some(input)
   val outSchema: TupleSchema = input.outSchema
-
-  def isDataFrame(ctx: DynamicContext): Boolean = input.isDataFrame(ctx)
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
     val base = ctx.enterClosure
@@ -327,7 +300,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
     val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String, Double)])]
-    parentTuples(input, ctx).foreach { t =>
+    input.tupleIterator(ctx).foreach { t =>
       HeapModel.check(ctx, buf.size + 1L)
       val keys = specs.map { spec =>
         KeyEncoder.encodeOrder(spec.expr.materialize(ctx.bindAll(t.bindings)), spec.emptyGreatest)
@@ -368,7 +341,7 @@ final class CountClauseIterator(
     newCol: String,
 ) extends ClauseIterator {
 
-  def isDataFrame(ctx: DynamicContext): Boolean = input.isDataFrame(ctx)
+  def parent: Option[ClauseIterator] = Some(input)
 
   def getDataFrame(ctx: DynamicContext): DataFrame = {
     val pdf = input.getDataFrame(ctx)
@@ -380,97 +353,94 @@ final class CountClauseIterator(
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    parentTuples(input, ctx).zipWithIndex.map { case (t, i) =>
+    input.tupleIterator(ctx).zipWithIndex.map { case (t, i) =>
       t.updated(varName, List(IntItem(i + 1L)))
     }
 }
 
-/** Fast path for FLWORs of shape `for $v in <expr> (where ...)* return r`
-  * with a Spark-backed source: the paper's Figure-9 RDD mapping (`for` →
-  * flatMap, `where` → filter) applied directly, with no tuple DataFrame —
-  * the same execution the paper describes for pure navigation/filter
-  * pipelines in §5.7 ("none of the intermediate sequences of items is
-  * ever materialized"). Falls back to streaming local iteration on
-  * forced-local engines.
-  */
-final class SimpleFlworRddIterator(
-    varName: String,
-    source: RuntimeIterator,
-    wheres: List[RuntimeIterator],
-    retExpr: RuntimeIterator,
-    singletonReturn: Boolean,
-) extends RuntimeIterator {
-
-  override def isRDD(ctx: DynamicContext): Boolean = source.isRDD(ctx)
-
-  /** The source items that pass every `where`, as an RDD. */
-  private def selected(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
-    val v    = varName
-    val ws   = wheres
-    val base = ctx.enterClosure
-    source.getRDD(ctx).filter { item =>
-      val c = base.bind(v, item :: Nil)
-      ws.forall(_.effectiveBoolean(c))
-    }
-  }
-
-  override def getRDD(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
-    val v    = varName
-    val re   = retExpr
-    val base = ctx.enterClosure
-    selected(ctx).flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
-  }
-
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    source.localIterator(ctx)
-      .filter { item =>
-        val c = ctx.bind(varName, item :: Nil)
-        wheres.forall(_.effectiveBoolean(c))
-      }
-      .flatMap(item => retExpr.localIterator(ctx.bind(varName, item :: Nil)))
-
-  /** Counts the selected source items without evaluating the return
-    * expression when it provably yields one item per input (see
-    * FlworIterator). */
-  override def count(ctx: DynamicContext): Long =
-    if (singletonReturn && isRDD(ctx)) selected(ctx).count() else super.count(ctx)
+/** How a FLWOR runs: locally through the clauses' tuple iterators; as the
+  * paper's Figure-9 RDD mapping (`for` → flatMap, `where` → filter, §5.7);
+  * or as a DataFrame tuple stream (§4.3–4.10). */
+object FlworPath extends Enumeration {
+  val Local, Rdd, DataFrame = Value
 }
 
 /** The whole FLWOR expression (clause chain + `return`, paper §4.10): an
-  * *expression* iterator producing items. When the last clause provides a
-  * DataFrame, `return` maps it to an RDD of items with a flatMap; otherwise
-  * it consumes tuples through the local API.
+  * *expression* iterator producing items, run on the path [[path]] picks.
+  * On `Rdd` the initial `for`'s source RDD is filtered by the `where`
+  * clauses and flat-mapped by `return`, with no tuple DataFrame ("none of
+  * the intermediate sequences of items is ever materialized"). On
+  * `DataFrame`, `return` maps the last clause's DataFrame to an RDD of
+  * items with a flatMap. On `Local` it consumes the clauses' tuples.
   *
   * @param retReads the in-scope variables the return expression reads; the
   *        DataFrame-to-RDD flatMap decodes only their columns
   * @param singletonReturn the translator proved the return expression
   *        yields exactly one item per tuple (a for-bound variable, an
   *        object/array constructor, a literal); a consuming `count()` can
-  *        then run as a DataFrame count without materializing any item —
-  *        the same aggregation-detection family as the paper's §4.7
-  *        COUNT pushdown.
+  *        then count the selected items or the DataFrame's tuples without
+  *        materializing any item — the same aggregation-detection family
+  *        as the paper's §4.7 COUNT pushdown.
   */
 final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
                           retReads: Vector[String], singletonReturn: Boolean = false)
     extends RuntimeIterator {
 
-  override def isRDD(ctx: DynamicContext): Boolean =
-    !ctx.insideClosure && last.isDataFrame(ctx)
+  /** The clause chain, first clause first. */
+  private val clauses: List[ClauseIterator] =
+    List.unfold(Option(last))(_.map(c => (c, c.parent))).reverse
+
+  /** The one decision of how this FLWOR runs in `ctx`: `Local` inside a
+    * closure or unless the first clause is a `for` over an RDD-capable
+    * expression; `Rdd` when that `for` is followed only by `where`
+    * clauses; `DataFrame` otherwise. */
+  def path(ctx: DynamicContext): FlworPath.Value = clauses.head match {
+    case f: ForClauseIterator if !ctx.insideClosure && f.expr.isRDD(ctx) =>
+      if (clauses.tail.forall(_.isInstanceOf[WhereClauseIterator])) FlworPath.Rdd
+      else FlworPath.DataFrame
+    case _ => FlworPath.Local
+  }
+
+  private def initialFor: ForClauseIterator = clauses.head.asInstanceOf[ForClauseIterator]
+
+  /** On `Rdd`: the source items that pass every `where`. */
+  private def selected(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
+    val v    = initialFor.varName
+    val ws   = clauses.tail.collect { case w: WhereClauseIterator => w.expr }
+    val base = ctx.enterClosure
+    initialFor.expr.getRDD(ctx).filter { item =>
+      val c = base.bind(v, item :: Nil)
+      ws.forall(_.effectiveBoolean(c))
+    }
+  }
+
+  override def isRDD(ctx: DynamicContext): Boolean = path(ctx) != FlworPath.Local
 
   override def getRDD(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
-    val schema = last.outSchema.restrictedTo(retReads)
-    val df     = last.getDataFrame(ctx).select(schema.cols.map(col): _*)
-    val base   = ctx.enterClosure
-    val re     = retExpr
-    df.rdd.mapPartitions { rows =>
-      rows.flatMap(row => re.materialize(TupleSchema.contextFromRow(row, schema, base)))
+    val base = ctx.enterClosure
+    val re   = retExpr
+    path(ctx) match {
+      case FlworPath.Rdd =>
+        val v = initialFor.varName
+        selected(ctx).flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
+      case FlworPath.DataFrame =>
+        val schema = last.outSchema.restrictedTo(retReads)
+        val df     = last.getDataFrame(ctx).select(schema.cols.map(col): _*)
+        df.rdd.mapPartitions { rows =>
+          rows.flatMap(row => re.materialize(TupleSchema.contextFromRow(row, schema, base)))
+        }
+      case FlworPath.Local => super.getRDD(ctx)
     }
   }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     last.tupleIterator(ctx).flatMap(t => retExpr.localIterator(ctx.bindAll(t.bindings)))
 
-  /** Counts the DataFrame's tuples when the return yields one item each. */
-  override def count(ctx: DynamicContext): Long =
-    if (singletonReturn && isRDD(ctx)) last.getDataFrame(ctx).count() else super.count(ctx)
+  /** Counts the selected items or the DataFrame's tuples when the return
+    * yields one item each. */
+  override def count(ctx: DynamicContext): Long = path(ctx) match {
+    case FlworPath.Rdd if singletonReturn       => selected(ctx).count()
+    case FlworPath.DataFrame if singletonReturn => last.getDataFrame(ctx).count()
+    case _                                      => super.count(ctx)
+  }
 }

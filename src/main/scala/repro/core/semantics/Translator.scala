@@ -102,19 +102,6 @@ object Translator {
     * dropped entirely. */
   private def translateFlwor(clauses: List[ClauseAst], ret0: ExprAst,
                              sc0: StaticContext): RuntimeIterator = {
-    // Fast path (paper Fig. 9 / §5.7): `for $v in e (where ...)* return r`
-    // maps directly to filter/flatMap on the source RDD of items, with no
-    // tuple DataFrame and no intermediate materialization.
-    clauses match {
-      case ForClauseAst(List((v, srcAst))) :: rest
-          if rest.forall(_.isInstanceOf[WhereClauseAst]) =>
-        val src  = translateExpr(srcAst, sc0)
-        val scV  = sc0.withVar(v)
-        val ws   = rest.collect { case WhereClauseAst(e) => translateExpr(e, scV) }
-        return new SimpleFlworRddIterator(
-          v, src, ws, translateExpr(ret0, scV), singletonReturn(ret0, clauses))
-      case _ =>
-    }
     var chain: Option[ClauseIterator] = None
     var schema                        = TupleSchema.empty
     var sc                            = sc0

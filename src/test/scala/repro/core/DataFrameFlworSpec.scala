@@ -2,18 +2,20 @@ package repro.core
 
 import repro.core.model._
 import repro.core.runtime.{DynamicContext, RumbleConf}
-import repro.core.runtime.flwor.{FlworIterator, WhereClauseIterator}
+import repro.core.runtime.flwor.{FlworIterator, FlworPath, WhereClauseIterator}
+import repro.bench.RumbleQueries
 
 /** FLWOR execution on DataFrames (paper §4.3–4.10, §5.8): tuple streams as
   * all-binary DataFrames, clauses as DataFrame operations. Each query is
-  * checked to actually take the DataFrame path (isRDD on the root FLWOR)
-  * and to agree with the forced-local engine. */
+  * checked to actually run on Spark (isRDD on the root FLWOR: the Fig. 9
+  * RDD path or the DataFrame path) and to agree with the forced-local
+  * engine. */
 class DataFrameFlworSpec extends RumbleSpec {
 
   /** Assert the FLWOR root is Spark-backed, then compare both engines. */
   private def checkAgainstLocal(query: String, ordered: Boolean = true): Unit = {
     val it = rumble.compile(query)
-    assert(it.isRDD(DynamicContext.root(RumbleConf())), s"expected DataFrame path for: $query")
+    assert(it.isRDD(DynamicContext.root(RumbleConf())), s"expected a Spark path for: $query")
     val sparkRes = rumble.run(query)
     val localRes = rumbleLocal.run(localized(query))
     if (ordered) assert(ser(sparkRes) == ser(localRes))
@@ -30,6 +32,18 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   test("for + where on the DataFrame path (§4.6)") {
     checkAgainstLocal("for $x in parallelize(1 to 100) where $x mod 10 eq 0 return $x")
+  }
+
+  test("for + where + where on the Fig. 9 RDD path") {
+    val q = "for $x in parallelize(1 to 60) where $x mod 2 eq 0 where $x mod 3 eq 0 return $x"
+    assert(flworPath(q) == FlworPath.Rdd)
+    checkAgainstLocal(q)
+  }
+
+  test("two-binding for on the DataFrame path") {
+    val q = "for $x in parallelize(1 to 4), $y in 1 to $x where $x + $y gt 4 return [$x, $y]"
+    assert(flworPath(q) == FlworPath.DataFrame)
+    checkAgainstLocal(q)
   }
 
   test("let as extended projection (§4.5)") {
@@ -184,7 +198,12 @@ class DataFrameFlworSpec extends RumbleSpec {
   test("initial let stays local (paper §4.5)") {
     val it = rumble.compile("let $x := parallelize(1 to 3) return count($x)")
     assert(!it.isRDD(DynamicContext.root(RumbleConf())))
+    assert(flworPath("let $x := parallelize(1 to 3) return count($x)") == FlworPath.Local)
     assert(evalSpark("let $x := parallelize(1 to 3) return count($x)") == "3")
+    // a later for over an RDD source is collected, not run on Spark
+    val q = "let $n := 3 for $x in parallelize(1 to $n) where $x ge 2 return $x"
+    assert(flworPath(q) == FlworPath.Local)
+    assert(evalSpark(q) == "2, 3")
   }
 
   test("nested FLWOR inside a closure runs through the local API (§5.6)") {
@@ -201,6 +220,39 @@ class DataFrameFlworSpec extends RumbleSpec {
       "for $x in parallelize(1 to 10) where $x gt 7 return {\"v\": $x}", out)
     val back = rumble.run(s"""json-file("$out").v""")
     assert(back.map(_.numericDouble).toSet == Set(8.0, 9.0, 10.0))
+  }
+
+  // ------------------------------------------------------- path pins
+
+  private lazy val confusionFile = tempJsonFile("paths", Seq(
+    """{"guess": "French", "target": "French", "country": "AU", "date": "2013-08-19"}""",
+    """{"guess": "German", "target": "Danish", "country": "US", "date": "2013-08-20"}"""))
+
+  test("path pin: the paper's filter takes the Fig. 9 RDD path") {
+    assert(flworPath(RumbleQueries.filter(confusionFile)) == FlworPath.Rdd)
+    assert(flworPath(RumbleQueries.filter(confusionFile),
+      DynamicContext.root(RumbleConf(forceLocal = true))) == FlworPath.Local)
+  }
+
+  test("path pin: group, sort and let-where take the DataFrame path") {
+    val letWhere =
+      s"""for $$i in json-file("$confusionFile")
+         |let $$g := $$i.guess
+         |let $$t := $$i.target
+         |where $$g eq $$t
+         |return $$i""".stripMargin
+    Seq(RumbleQueries.group(confusionFile), RumbleQueries.sort(confusionFile), letWhere)
+      .foreach(q => assert(flworPath(q) == FlworPath.DataFrame, q))
+    // the group's $i is only counted (§4.7 CountOnly)
+    val group = rumble.compile(RumbleQueries.group(confusionFile)).asInstanceOf[FlworIterator]
+    assert(group.last.outSchema.vars.toSet == Set("target", "i#count"))
+  }
+
+  test("path pin: a FLWOR evaluated inside a closure runs locally") {
+    val q   = "for $x in parallelize(1 to 5) where $x gt 3 return $x"
+    val ctx = DynamicContext.root(RumbleConf()).enterClosure
+    assert(flworPath(q, ctx) == FlworPath.Local)
+    assert(rumble.compile(q).materialize(ctx) == List(IntItem(4), IntItem(5)))
   }
 
   // ------------------------------------------- per-clause column pruning

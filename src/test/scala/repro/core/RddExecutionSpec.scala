@@ -2,6 +2,7 @@ package repro.core
 
 import repro.core.model._
 import repro.core.runtime.DynamicContext
+import repro.core.runtime.flwor.FlworPath
 
 /** RDD-based execution of expression iterators (paper §4.1, §5.6): Spark
   * transformations for navigation/predicates, Spark actions for
@@ -111,15 +112,12 @@ class RddExecutionSpec extends RumbleSpec {
   }
 
   test("for+where+return FLWORs compile to the Fig. 9 RDD fast path") {
-    val it = rumble.compile(
-      "for $x in parallelize(1 to 100) where $x mod 2 eq 0 return $x")
-    assert(it.isInstanceOf[repro.core.runtime.flwor.SimpleFlworRddIterator])
-    assert(rumble.runCount(
-      "for $x in parallelize(1 to 100) where $x mod 2 eq 0 return $x") == 50)
+    val q = "for $x in parallelize(1 to 100) where $x mod 2 eq 0 return $x"
+    assert(flworPath(q) == FlworPath.Rdd)
+    assert(rumble.runCount(q) == 50)
     // a let clause forces the general tuple-stream (DataFrame) path
-    val it2 = rumble.compile(
-      "for $x in parallelize(1 to 10) let $y := $x where $y gt 5 return $y")
-    assert(it2.isInstanceOf[repro.core.runtime.flwor.FlworIterator])
+    assert(flworPath("for $x in parallelize(1 to 10) let $y := $x where $y gt 5 return $y") ==
+      FlworPath.DataFrame)
   }
 
   test("fast-path FLWOR matches the general path's semantics") {

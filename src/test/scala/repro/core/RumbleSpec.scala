@@ -3,7 +3,8 @@ package repro.core
 import repro.SparkSpec
 import repro.core.json.JsonWriter
 import repro.core.model._
-import repro.core.runtime.RumbleConf
+import repro.core.runtime.{DynamicContext, RumbleConf}
+import repro.core.runtime.flwor.{FlworIterator, FlworPath}
 
 /** Base for engine test suites: a forced-local engine (pure interpreter,
   * no Spark jobs) and a full engine over the shared SparkSession, plus
@@ -15,6 +16,12 @@ trait RumbleSpec extends SparkSpec {
 
   /** Serialize a sequence of items the way expectations are written. */
   def ser(items: Seq[Item]): String = items.map(JsonWriter.write).mkString(", ")
+
+  /** The path the FLWOR `query` takes in `ctx` (by default the Spark
+    * engine's root context). */
+  def flworPath(query: String,
+                ctx: DynamicContext = DynamicContext.root(RumbleConf())): FlworPath.Value =
+    rumble.compile(query).asInstanceOf[FlworIterator].path(ctx)
 
   /** Run on the forced-local engine and serialize. */
   def evalLocal(query: String): String = ser(rumbleLocal.run(query))
