@@ -112,42 +112,57 @@ object SystemComparisonExperiment {
 
 /** Table T2 (Fig. 12): Rumble vs the single-threaded Zorba/Xidel stand-ins
   * across input sizes; DNF("oom") when the modeled heap is exceeded.
-  * Returns (engine, query, size, result) rows, result = seconds or "DNF". */
+  * Returns (engine, query, size, result) rows, result = median seconds of
+  * `reps` runs or "DNF". */
 object EngineComparisonExperiment {
 
   val engines: Seq[String] = Seq("rumble", "zorba-sim", "xidel-sim")
+  private val queries = Seq("filter", "group", "sort")
+  private val reps    = 5
 
   def run(spark: SparkSession, sizes: Seq[Long], zorbaCap: Long, xidelCap: Long,
           scratch: String): Seq[(String, String, Long, String)] = {
-    val rows = scala.collection.mutable.ArrayBuffer.empty[(String, String, Long, String)]
-    for (n <- sizes) {
-      val file = ConfusionData.generateLocalFile(s"$scratch/confusion_single_$n.json", n)
-      for (engineName <- engines) {
-        val engine = engineName match {
-          case "rumble"    => new Rumble(spark)
-          case "zorba-sim" => SingleThreadedEngines.zorbaSim(spark, Some(zorbaCap))
-          case "xidel-sim" => SingleThreadedEngines.xidelSim(spark, Some(xidelCap))
-        }
-        for (q <- Seq("filter", "group", "sort")) {
-          val query = q match {
-            case "filter" => RumbleQueries.filter(file)
-            case "group"  => RumbleQueries.group(file)
-            case "sort"   => RumbleQueries.sort(file)
-          }
-          val res =
-            try Harness.fmtSec(Harness.time(engine.runCount(query))._2)
-            catch { case _: HeapModelExceeded => "DNF(oom)" }
-          rows += ((engineName, q, n, res))
-          spark.sqlContext.clearCache()
-        }
-      }
+    def engine(name: String, file: String): String => Long = name match {
+      case "rumble"    => new Rumble(spark).runCount
+      case "zorba-sim" => SingleThreadedEngines.zorbaSim(spark, Some(zorbaCap)).runCount
+      case "xidel-sim" => SingleThreadedEngines.xidelSim(spark, Some(xidelCap), file).runCount
     }
-    rows.toSeq
+    def query(q: String, file: String): String = q match {
+      case "filter" => RumbleQueries.filter(file)
+      case "group"  => RumbleQueries.group(file)
+      case "sort"   => RumbleQueries.sort(file)
+    }
+    /** Seconds of one run, or None once the modeled heap is exceeded. */
+    def once(e: String, q: String, file: String): Option[Double] = {
+      val runCount = engine(e, file)
+      try Some(Harness.time(runCount(query(q, file)))._2)
+      catch { case _: HeapModelExceeded => None }
+      finally spark.sqlContext.clearCache()
+    }
+
+    def input(n: Long): String =
+      ConfusionData.generateLocalFile(s"$scratch/confusion_single_$n.json", n)
+
+    // Warm-up, as in T1: run every engine and query once on the smallest
+    // input, untimed, so JIT and first-use costs are not charged to
+    // whichever engine the first measured size runs first.
+    for (e <- engines; q <- queries) once(e, q, input(sizes.min))
+
+    // Round-robin over the engines within each repetition, as in T1, so
+    // transient noise on a shared machine hits every engine alike.
+    for {
+      n <- sizes
+      file = input(n)
+      q <- queries
+      runs = Seq.fill(reps)(engines.map(once(_, q, file))).transpose
+      (e, secs) <- engines.zip(runs)
+    } yield (e, q, n,
+      if (secs.contains(None)) "DNF(oom)" else Harness.fmtSec(Harness.median(secs.flatten)))
   }
 
   def print(rows: Seq[(String, String, Long, String)]): Unit = {
     val sizes = rows.map(_._3).distinct.sorted
-    for (q <- Seq("filter", "group", "sort")) {
+    for (q <- queries) {
       Harness.printTable(s"T2 (Fig. 12) — $q query, runtime by input size",
         "engine" +: sizes.map(s => s"$s obj"),
         engines.map(e => e +: sizes.map(n =>

@@ -13,8 +13,9 @@ import repro.core.semantics.Translator
   * → runtime iterators → execution, local or on Spark, chosen dynamically.
   *
   * The same entry point serves Rumble proper and — with
-  * `conf.forceLocal = true` — the single-threaded JSONiq engine stand-ins
-  * used by the §6.3 comparison.
+  * `conf.forceLocal = true` and a `heapModelCap` — the single-threaded
+  * Zorba stand-in of the §6.3 comparison, which the Xidel stand-in also
+  * runs its queries on (`repro.baselines.SingleThreadedEngines`).
   */
 final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
 

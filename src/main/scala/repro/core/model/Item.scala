@@ -15,8 +15,8 @@ class StaticException(code: String, message: String) extends RumbleException(cod
 
 /** Raised when a single-threaded baseline exceeds its modeled heap
   * (used by the Zorba/Xidel stand-ins to reproduce the paper's DNFs). */
-class HeapModelExceeded(engine: String, items: Long, cap: Long)
-    extends RumbleException("OOM-SIM", s"$engine exceeded heap model: $items items > cap $cap")
+class HeapModelExceeded(items: Long, cap: Long)
+    extends RumbleException("OOM-SIM", s"heap model exceeded: $items items > cap $cap")
 
 /** A JSONiq item (paper §2.3, §4.1): an atomic value, an object, or an array.
   *

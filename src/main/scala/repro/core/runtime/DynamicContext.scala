@@ -4,40 +4,27 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import repro.core.model._
 
-/** Engine configuration. `eagerInput` and `perItemOverhead` serve only the
-  * Xidel stand-in (`SingleThreadedEngines.xidelSim`).
+/** Engine configuration.
   *
   * @param forceLocal          disable all Spark execution (used by the
   *                            single-threaded Zorba/Xidel stand-ins, §6.3)
   * @param materializationCap  max items materialized from an RDD through the
   *                            local API before a warning is issued (§5.5)
-  * @param heapModelCap        if set, local materialization points (group-by,
-  *                            order-by, parse-all) throw [[HeapModelExceeded]]
-  *                            past this many items — models the 16 GB laptop
+  * @param heapModelCap        if set, the local group-by and order-by throw
+  *                            [[HeapModelExceeded]] once they hold more than
+  *                            this many tuples — models the 16 GB laptop
   *                            OOMs of the paper's single-threaded baselines
-  * @param engineName          name used in heap-model errors / warnings
-  * @param eagerInput          parse the *whole* input file into memory before
-  *                            evaluation starts (models Xidel's DOM-style
-  *                            loading; counts against the heap model)
-  * @param perItemOverhead     extra serialize+parse round-trips per input
-  *                            item (models a less optimized item
-  *                            representation in the naive engine)
   */
 final case class RumbleConf(
     forceLocal: Boolean = false,
     materializationCap: Long = 10_000_000L,
     heapModelCap: Option[Long] = None,
-    engineName: String = "rumble",
-    eagerInput: Boolean = false,
-    perItemOverhead: Int = 0,
 ) extends Serializable
 
 object HeapModel {
-  /** Enforce the modeled heap cap at a materialization point. */
-  def check(ctx: DynamicContext, n: Long): Unit =
-    ctx.conf.heapModelCap.foreach { cap =>
-      if (n > cap) throw new HeapModelExceeded(ctx.conf.engineName, n, cap)
-    }
+  /** Enforce the modeled heap cap on a buffer about to hold `n` items. */
+  def check(cap: Option[Long], n: Long): Unit =
+    cap.foreach { c => if (n > c) throw new HeapModelExceeded(n, c) }
 }
 
 /** Dynamic context (paper §5.5): chained variable bindings plus the context

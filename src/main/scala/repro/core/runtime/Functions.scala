@@ -1,6 +1,7 @@
 package repro.core.runtime
 
 import java.io.File
+import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.core.json.JsonParser
@@ -41,29 +42,9 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
       if (f.isDirectory)
         f.listFiles().filter(x => x.isFile && x.getName.startsWith("part-")).sortBy(_.getName).toSeq
       else Seq(f)
-    val overhead = ctx.conf.perItemOverhead
-    val parsed = files.iterator.flatMap { file =>
-      val src = scala.io.Source.fromFile(file, "UTF-8")
-      src.getLines().filter(_.trim.nonEmpty).map { l =>
-        var item = JsonParser.parseLine(l)
-        var k    = 0
-        while (k < overhead) { // model an unoptimized item representation
-          item = JsonParser.parse(repro.core.json.JsonWriter.write(item))
-          k += 1
-        }
-        item
-      }
-    }
-    if (!ctx.conf.eagerInput) parsed
-    else {
-      // Xidel-style: load the whole document set into memory up front,
-      // counting against the modeled heap.
-      val buf = scala.collection.mutable.ArrayBuffer.empty[Item]
-      parsed.foreach { i =>
-        HeapModel.check(ctx, buf.size + 1L)
-        buf += i
-      }
-      buf.iterator
+    files.iterator.flatMap { file =>
+      scala.io.Source.fromFile(file, "UTF-8").getLines()
+        .filter(_.trim.nonEmpty).map(JsonParser.parseLine)
     }
   }
 }
@@ -208,36 +189,35 @@ object Builtins {
     def result: Item = if (allInt) IntItem(ints) else DoubleItem(doubles)
   }
 
-  private def sum(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
-    val zero = SumAcc(allInt = true, 0L, 0.0)
-    val acc =
-      if (a.head.isRDD(ctx)) a.head.getRDD(ctx).aggregate(zero)(_ add _, _ merge _)
-      else a.head.localIterator(ctx).foldLeft(zero)(_ add _)
-    Iterator.single(acc.result)
-  }
+  /** Fold the items of `a` with `add`: locally in order, or on an RDD as
+    * one Spark job that folds each partition and merges the partition
+    * results in partition order, so ties and rounding match the local
+    * fold's order whatever order the tasks finish in. */
+  private def aggregate[A: ClassTag](a: RuntimeIterator, ctx: DynamicContext, zero: A)
+                                    (add: (A, Item) => A, merge: (A, A) => A): A =
+    if (a.isRDD(ctx))
+      a.getRDD(ctx).mapPartitions(it => Iterator.single(it.foldLeft(zero)(add)))
+        .collect().foldLeft(zero)(merge)
+    else a.localIterator(ctx).foldLeft(zero)(add)
+
+  private def sum(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    Iterator.single(
+      aggregate(a.head, ctx, SumAcc(allInt = true, 0L, 0.0))(_ add _, _ merge _).result)
 
   private def avg(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
-    val (s, n) =
-      if (a.head.isRDD(ctx))
-        a.head.getRDD(ctx).map(i => (i.numericDouble, 1L))
-          .fold((0.0, 0L)) { case ((s1, n1), (s2, n2)) => (s1 + s2, n1 + n2) }
-      else a.head.localIterator(ctx).foldLeft((0.0, 0L)) { case ((s1, n1), i) =>
-        (s1 + i.numericDouble, n1 + 1)
-      }
+    val (s, n) = aggregate(a.head, ctx, (0.0, 0L))(
+      { case ((s, n), i) => (s + i.numericDouble, n + 1) },
+      { case ((s1, n1), (s2, n2)) => (s1 + s2, n1 + n2) })
     if (n == 0) Iterator.empty else Iterator.single(DoubleItem(s / n))
   }
 
   /** `min` (sign -1) or `max` (sign 1); ties keep the earlier item. */
   private def extreme(sign: Int): Body = (a, ctx) => {
-    val pick: (Item, Item) => Item =
-      (best, x) => if (Integer.signum(Item.compareAtomics(x, best)) == sign) x else best
-    if (a.head.isRDD(ctx)) {
-      val rdd = a.head.getRDD(ctx)
-      if (rdd.isEmpty()) Iterator.empty else Iterator.single(rdd.reduce(pick))
-    } else {
-      val it = a.head.localIterator(ctx)
-      if (it.hasNext) Iterator.single(it.reduce(pick)) else Iterator.empty
+    val pick: (Option[Item], Option[Item]) => Option[Item] = {
+      case (Some(best), x @ Some(i)) if Integer.signum(Item.compareAtomics(i, best)) == sign => x
+      case (best, x) => best.orElse(x)
     }
+    aggregate(a.head, ctx, Option.empty[Item])((best, x) => pick(best, Some(x)), pick).iterator
   }
 
   private def distinctValues(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
@@ -262,12 +242,25 @@ object Builtins {
 
   // ------------------------------------------------------------ sequences
 
+  /** The 0-based `[from, until)` range of the 1-based positions `p` with
+    * `round(start) <= p < round(start) + round(length)` (F&O `subsequence`
+    * and `substring`; `round` rounds halves up), clamped to `[0, Int.MaxValue]`.
+    * Start and length are the at-most-one items `a(1)` and `a(2)`: an empty
+    * start counts as 1, an empty length as `emptyLength`, no `a(2)` as no
+    * bound; a NaN bound selects nothing. */
+  private def positions(a: List[RuntimeIterator], ctx: DynamicContext,
+                        emptyLength: Double): (Int, Int) = {
+    def arg(i: Int, default: Double): Double =
+      a(i).materializeAtMostOne(ctx).fold(default)(p => math.floor(p.numericDouble + 0.5))
+    def clamp(p: Double): Int = math.max(0.0, math.min(p - 1, Int.MaxValue)).toInt
+    val start = arg(1, 1)
+    val end   = if (a.size > 2) start + arg(2, emptyLength) else Double.PositiveInfinity
+    if (start.isNaN || end.isNaN) (0, 0) else (clamp(start), clamp(end))
+  }
+
   private def subsequence(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
-    val it      = a(0).localIterator(ctx)
-    val start   = a(1).materializeAtMostOne(ctx).map(_.numericDouble.toLong).getOrElse(1L)
-    val len     = a.lift(2).flatMap(_.materializeAtMostOne(ctx)).map(_.numericDouble.toLong)
-    val dropped = it.drop(math.max(0L, start - 1).toInt)
-    len.fold(dropped)(l => dropped.take(l.toInt))
+    val (from, until) = positions(a, ctx, emptyLength = Double.PositiveInfinity)
+    a(0).localIterator(ctx).slice(from, until)
   }
 
   // -------------------------------------------------------------- scalars
@@ -277,7 +270,10 @@ object Builtins {
       case None => Iterator.empty
       case Some(i) if i.isNumeric => Iterator.single(IntItem(i.numericDouble.toLong))
       case Some(s) if s.isString  =>
-        Iterator.single(IntItem(s.stringValue.trim.toDouble.toLong))
+        try Iterator.single(IntItem(s.stringValue.trim.toDouble.toLong))
+        catch { case _: NumberFormatException =>
+          throw new RumbleException("FORG0001", s"cannot cast to integer: $s")
+        }
       case Some(BooleanItem(b))   => Iterator.single(IntItem(if (b) 1 else 0))
       case Some(other) =>
         throw new RumbleException("XPTY0004", s"cannot cast to integer: $other")
@@ -319,15 +315,7 @@ object Builtins {
     }
 
   private def substring(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
-    val s     = str(a(0), ctx)
-    val start = a(1).materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(1)
-    val from  = math.max(0, start - 1)
-    val res = a.lift(2) match {
-      case Some(l) =>
-        val len = l.materializeAtMostOne(ctx).map(_.numericDouble.toInt).getOrElse(0)
-        s.slice(from, from + math.max(0, len))
-      case None => s.drop(from)
-    }
-    Iterator.single(StringItem(res))
+    val (from, until) = positions(a, ctx, emptyLength = 0)
+    Iterator.single(StringItem(str(a(0), ctx).slice(from, until)))
   }
 }

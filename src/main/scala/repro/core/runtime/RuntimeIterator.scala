@@ -85,7 +85,7 @@ object RddUtils {
       if (count > conf.materializationCap && !warned) {
         warned = true
         Console.err.println(
-          s"[${conf.engineName}] warning: materializing more than " +
+          s"[rumble] warning: materializing more than " +
           s"${conf.materializationCap} items through the local API")
       }
       item

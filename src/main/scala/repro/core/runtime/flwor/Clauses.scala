@@ -234,7 +234,7 @@ final class GroupByClauseIterator(
     var n = 0L
     input.tupleIterator(ctx).foreach { t =>
       n += 1
-      HeapModel.check(ctx, n)
+      HeapModel.check(ctx.conf.heapModelCap, n)
       val key = keys.map(k => KeyEncoder.encodeGroup(t.bindings.getOrElse(k, Nil))).toVector
       groups.get(key) match {
         case None =>
@@ -301,7 +301,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
     val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String, Double)])]
     input.tupleIterator(ctx).foreach { t =>
-      HeapModel.check(ctx, buf.size + 1L)
+      HeapModel.check(ctx.conf.heapModelCap, buf.size + 1L)
       val keys = specs.map { spec =>
         KeyEncoder.encodeOrder(spec.expr.materialize(ctx.bindAll(t.bindings)), spec.emptyGreatest)
       }.toArray

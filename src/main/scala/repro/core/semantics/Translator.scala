@@ -158,7 +158,7 @@ object Translator {
           }.toMap
           // rewrite downstream count($v) → $v#count for CountOnly vars
           modes.collect { case (v, GroupAggMode.CountOnly) => v }.foreach { v =>
-            remaining = remaining.map(rewriteClauseCount(_, v))
+            remaining = remaining.map(mapClause(_, rewriteCount(_, v)))
             ret = rewriteCount(ret, v)
             sc = sc.withVar(v + "#count")
           }
@@ -264,14 +264,13 @@ object Translator {
     case other => mapChildren(other, rewriteCount(_, v))
   }
 
-  private def rewriteClauseCount(c: ClauseAst, v: String): ClauseAst = c match {
-    case ForClauseAst(bs)     => ForClauseAst(bs.map { case (n, e) => (n, rewriteCount(e, v)) })
-    case LetClauseAst(bs)     => LetClauseAst(bs.map { case (n, e) => (n, rewriteCount(e, v)) })
-    case WhereClauseAst(e)    => WhereClauseAst(rewriteCount(e, v))
-    case GroupByClauseAst(ks) =>
-      GroupByClauseAst(ks.map { case (n, e) => (n, e.map(rewriteCount(_, v))) })
-    case OrderByClauseAst(ss) =>
-      OrderByClauseAst(ss.map(s => s.copy(expr = rewriteCount(s.expr, v))))
+  /** `c` with `f` applied to each of its expressions. */
+  private def mapClause(c: ClauseAst, f: ExprAst => ExprAst): ClauseAst = c match {
+    case ForClauseAst(bs)     => ForClauseAst(bs.map { case (n, e) => (n, f(e)) })
+    case LetClauseAst(bs)     => LetClauseAst(bs.map { case (n, e) => (n, f(e)) })
+    case WhereClauseAst(e)    => WhereClauseAst(f(e))
+    case GroupByClauseAst(ks) => GroupByClauseAst(ks.map { case (n, e) => (n, e.map(f)) })
+    case OrderByClauseAst(ss) => OrderByClauseAst(ss.map(s => s.copy(expr = f(s.expr))))
     case cc: CountClauseAst   => cc
   }
 
@@ -314,16 +313,7 @@ object Translator {
     case ArrayLookupExpr(t, i)        => ArrayLookupExpr(f(t), f(i))
     case PredicateExpr(t, p)          => PredicateExpr(f(t), f(p))
     case FunctionCallExpr(n, args)    => FunctionCallExpr(n, args.map(f))
-    case FlworExpr(cs, r) =>
-      val cs2 = cs.map {
-        case ForClauseAst(bs)     => ForClauseAst(bs.map { case (n, e) => (n, f(e)) })
-        case LetClauseAst(bs)     => LetClauseAst(bs.map { case (n, e) => (n, f(e)) })
-        case WhereClauseAst(e)    => WhereClauseAst(f(e))
-        case GroupByClauseAst(ks) => GroupByClauseAst(ks.map { case (n, e) => (n, e.map(f)) })
-        case OrderByClauseAst(ss) => OrderByClauseAst(ss.map(s => s.copy(expr = f(s.expr))))
-        case cc: CountClauseAst   => cc
-      }
-      FlworExpr(cs2, f(r))
+    case FlworExpr(cs, r)             => FlworExpr(cs.map(mapClause(_, f)), f(r))
     case leaf                         => leaf
   }
 }

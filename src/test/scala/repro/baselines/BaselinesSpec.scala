@@ -90,7 +90,7 @@ class BaselinesSpec extends RumbleSpec {
   }
 
   test("xidel-sim agrees with Rumble on all three queries (small input)") {
-    val x = SingleThreadedEngines.xidelSim(spark, Some(100000L))
+    val x = SingleThreadedEngines.xidelSim(spark, Some(100000L), file)
     assert(x.runCount(RumbleQueries.filter(file)) == rumbleFilterCount)
     assert(x.runCount(RumbleQueries.group(file)) == rumbleGroupCount)
     assert(x.runCount(RumbleQueries.sort(file)) == rumbleFilterCount)
@@ -106,9 +106,10 @@ class BaselinesSpec extends RumbleSpec {
   }
 
   test("xidel-sim DNFs on every query past the heap cap (eager input)") {
-    val x = SingleThreadedEngines.xidelSim(spark, Some(n / 2L))
+    val x = SingleThreadedEngines.xidelSim(spark, Some(n / 2L), file)
     assertThrows[HeapModelExceeded](x.runCount(RumbleQueries.filter(file)))
     assertThrows[HeapModelExceeded](x.runCount(RumbleQueries.group(file)))
+    assertThrows[HeapModelExceeded](x.runCount(RumbleQueries.sort(file)))
   }
 
   test("reddit filter baselines agree with Rumble") {

@@ -104,6 +104,10 @@ class ErrorSemanticsSpec extends RumbleSpec {
     expectError("string({})", "XPTY0004")(rumbleLocal.run)
   }
 
+  test("integer() of a non-numeric string is FORG0001") {
+    expectError("integer(\"abc\")", "FORG0001")(rumbleLocal.run)
+  }
+
   test("size() on non-arrays errors") {
     expectError("size(3)", "XPTY0004")(rumbleLocal.run)
   }

@@ -68,6 +68,25 @@ class RddExecutionSpec extends RumbleSpec {
       }
   }
 
+  test("avg/min/max give the local answer on Spark: integer, mixed and empty input") {
+    Seq("avg(parallelize((1, 2, 3, 4), 3))"              -> "2.5",
+        "avg(parallelize((1, 2.5, 3, 4.5), 4))"          -> "2.75",
+        "avg(parallelize(()))"                           -> "",
+        "min(parallelize((5, 3, 9, 4), 3))"              -> "3",
+        "max(parallelize((5, 3, 9, 4), 3))"              -> "9",
+        "min(parallelize((2.5, 1, 3.5, 1.5), 4))"        -> "1",
+        "max(parallelize((\"b\", \"c\", \"a\"), 3))"     -> "\"c\"",
+        "min(parallelize(()))"                           -> "",
+        "max(parallelize(1 to 10)[$$ gt 99])"            -> "",
+        // ties keep the earlier item, whichever task finishes first
+        "min(parallelize((1.0, for $i in 2 to 16 return 1), 16))"   -> "1.0",
+        "max(parallelize((2, for $i in 2 to 16 return 2.0), 16))"   -> "2")
+      .foreach { case (q, expected) =>
+        assert(evalLocal(q) == expected, q)
+        assert(evalSpark(q) == expected, q)
+      }
+  }
+
   test("empty/exists as Spark actions") {
     assert(evalSpark("empty(parallelize(1 to 3))") == "false")
     assert(evalSpark("exists(parallelize(1 to 3))") == "true")

@@ -112,11 +112,11 @@ class RumbleApiSpec extends RumbleSpec {
     assert(r.run("parallelize(1 to 100)").size == 100)
   }
 
-  test("engine name and heap model flow through the conf") {
+  test("heap model cap flows through the conf") {
     val r = new Rumble(spark, repro.core.runtime.RumbleConf(
-      forceLocal = true, heapModelCap = Some(5), engineName = "tiny"))
+      forceLocal = true, heapModelCap = Some(5)))
     val e = intercept[HeapModelExceeded](
       r.run("for $x in (1,2,3,4,5,6,7) order by $x return $x"))
-    assert(e.getMessage.contains("tiny"))
+    assert(e.code == "OOM-SIM" && e.getMessage.contains("cap 5"))
   }
 }
