@@ -25,7 +25,7 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
     * persisted (the order-by cache, §4.8). */
   private def withQuery[T](f: DynamicContext => T): T = {
     val ctx = rootCtx
-    try f(ctx)
+    try Rumble.unwrapped(f(ctx))
     finally ctx.releasePersisted()
   }
 
@@ -34,13 +34,17 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
 
   /** Evaluate and stream the result items (RDDs are collected through the
     * local API with the configured materialization cap, §5.5). What the
-    * query persisted is released once the iterator is drained. */
+    * query persisted is released once the iterator is drained or fails. */
   def runIterator(query: String): Iterator[Item] = {
     val ctx = rootCtx
-    val items =
-      try compile(query).localIterator(ctx)
+    def guarded[T](f: => T): T =
+      try Rumble.unwrapped(f)
       catch { case e: Throwable => ctx.releasePersisted(); throw e }
-    items ++ { ctx.releasePersisted(); Iterator.empty[Item] }
+    val items = guarded(compile(query).localIterator(ctx))
+    new Iterator[Item] {
+      def hasNext: Boolean = guarded(items.hasNext) || { ctx.releasePersisted(); false }
+      def next(): Item     = guarded(items.next())
+    }
   }
 
   /** Evaluate and materialize the full result. */
@@ -52,8 +56,12 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
   def runCount(query: String): Long = withQuery(compile(query).count(_))
 
   /** The result as an RDD of items; local results are parallelized. The
-    * caller consumes the RDD later, so what the query persisted stays
-    * cached. */
+    * caller consumes the RDD later, so what the query persisted (the
+    * `order by` cache, §4.8) stays cached for the RDD's actions; releasing
+    * it is the caller's job, once done with the RDD:
+    * `spark.catalog.clearCache()`, which also drops the caller's own
+    * cached tables. A JSONiq error raised inside one of those actions
+    * reaches the caller wrapped in a `SparkException`. */
   def runToRdd(query: String): RDD[Item] = toRdd(query, rootCtx)
 
   private def toRdd(query: String, ctx: DynamicContext): RDD[Item] = {
@@ -79,6 +87,17 @@ final class Rumble(spark: SparkSession, conf: RumbleConf = RumbleConf()) {
 }
 
 object Rumble {
+
+  /** Evaluate `f`; a [[RumbleException]] thrown inside a Spark task, which
+    * reaches the driver wrapped in a `SparkException`, is rethrown as
+    * itself, so that the caller sees the error code the local path raises. */
+  private def unwrapped[T](f: => T): T =
+    try f
+    catch {
+      case e: Throwable =>
+        throw Iterator.iterate(e)(_.getCause).takeWhile(_ != null)
+          .collectFirst { case r: RumbleException => r }.getOrElse(e)
+    }
 
   def itemsToDataFrame(spark: SparkSession, items: Seq[Item]): DataFrame = {
     val objects = items.map {

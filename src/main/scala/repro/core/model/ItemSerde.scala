@@ -68,11 +68,6 @@ object ItemSerde {
     List.fill(r.int())(r.item())
   }
 
-  def serializeItem(item: Item): Array[Byte] = serializeSeq(item :: Nil)
-
-  /** Number of items in a serialized sequence, read from the header alone. */
-  def seqLength(bytes: Array[Byte]): Int = readInt(bytes, 0)
-
   private def readInt(b: Array[Byte], p: Int): Int =
     ((b(p) & 0xff) << 24) | ((b(p + 1) & 0xff) << 16) | ((b(p + 2) & 0xff) << 8) | (b(p + 3) & 0xff)
 

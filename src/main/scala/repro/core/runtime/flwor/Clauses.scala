@@ -1,8 +1,9 @@
 package repro.core.runtime.flwor
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{array, col, collect_list, collect_set, explode, first, udf}
-import org.apache.spark.sql.types.{BinaryType, StructField, StructType}
+import org.apache.spark.sql.functions.{col, collect_list, collect_set, first, sum}
+import org.apache.spark.sql.types._
 import repro.core.model._
 import repro.core.runtime._
 
@@ -12,67 +13,56 @@ import repro.core.runtime._
   * own, in the form [[FlworIterator.path]] chooses for the whole chain:
   *
   *  - '''local''' (`tupleIterator`): pull-based stream of [[FlworTuple]]s;
-  *  - '''DataFrame''' (`getDataFrame`): the tuple stream as a DataFrame with
-  *    one BinaryType column per variable (serialized item sequence), per
-  *    [[TupleSchema]]. Nested JSONiq expressions are evaluated by UDFs that
-  *    carry the serialized runtime iterators in their closure and run them
-  *    through the local API on the executors.
+  *  - '''Spark''' (`tupleRdd`): an RDD of live tuples. The narrow clauses
+  *    (`for`, `let`, `where`, `count`) map it partition by partition; only
+  *    `group by` and `order by`, which shuffle, encode it into the paper's
+  *    DataFrame (native key columns plus serialized cells, per
+  *    [[TupleSchema]]) and decode the shuffled rows back into tuples.
   */
 abstract class ClauseIterator extends Serializable {
   /** The previous clause; `None` for the first clause of the FLWOR. */
   def parent: Option[ClauseIterator]
   def outSchema: TupleSchema
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple]
-  def getDataFrame(ctx: DynamicContext): DataFrame
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple]
+}
 
-  /** The UDF argument carrying the cells of `reads`, in that order: a clause
-    * UDF decodes only the variables its expression reads. */
-  protected final def cellsOf(inS: TupleSchema, reads: Seq[String]): Column =
-    array(reads.map(v => col(inS.colOf(v))): _*)
+/** A clause that turns each tuple into tuples on its own (`for`, `let`,
+  * `where`): the same `step` runs on the driver's local stream and, under
+  * `ctx.enterClosure`, on each partition of the parent's tuple RDD. */
+abstract class NarrowClauseIterator extends ClauseIterator {
+  protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple]
 
-  /** Project to exactly the out-schema columns, in schema order. */
-  protected final def normalized(df: DataFrame): DataFrame =
-    df.select(outSchema.cols.map(col): _*)
+  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = parent match {
+    case None    => step(FlworTuple.empty, ctx)
+    case Some(p) => p.tupleIterator(ctx).flatMap(step(_, ctx))
+  }
+
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+    val base = ctx.enterClosure
+    parent.get.tupleRdd(ctx).mapPartitions(_.flatMap(step(_, base)))
+  }
 }
 
 /** `for $v in expr` (paper §4.4). As the *initial* clause over an
-  * RDD-capable expression, it converts the RDD of items into the initial
-  * one-column DataFrame in parallel; as a later clause it is an extended
-  * projection (UDF evaluating the bind expression) followed by EXPLODE.
-  * `reads` lists the in-scope variables `expr` refers to (here and in the
-  * other clauses). */
+  * RDD-capable expression it maps the RDD of items to one-variable tuples;
+  * as a later clause it binds each item of `expr` in a copy of the tuple
+  * (the paper's extended projection followed by EXPLODE). */
 final class ForClauseIterator(
     val parent: Option[ClauseIterator],
     val varName: String,
     val expr: RuntimeIterator,
-    reads: Vector[String],
     val outSchema: TupleSchema,
-    newCol: String,
-) extends ClauseIterator {
+) extends NarrowClauseIterator {
 
-  def getDataFrame(ctx: DynamicContext): DataFrame = parent match {
-    case None =>
-      val rows = expr.getRDD(ctx).map(item => Row(ItemSerde.serializeItem(item)))
-      SparkSession.active.createDataFrame(rows, outSchema.structType)
-    case Some(p) =>
-      val pdf  = p.getDataFrame(ctx)
-      val vs   = reads
-      val e    = expr
-      val base = ctx.enterClosure
-      val u = udf { (cells: Seq[Array[Byte]]) =>
-        val c = TupleSchema.contextFromCells(cells, vs, base)
-        e.materialize(c).map(ItemSerde.serializeItem)
-      }
-      normalized(pdf.withColumn(newCol, explode(u(cellsOf(p.outSchema, vs)))))
-  }
+  protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
+    expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
 
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = parent match {
+  override def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = parent match {
     case None =>
-      expr.localIterator(ctx).map(item => FlworTuple(Map(varName -> List(item))))
-    case Some(p) =>
-      p.tupleIterator(ctx).flatMap { t =>
-        expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
-      }
+      val v = varName
+      expr.getRDD(ctx).map(item => FlworTuple(Map(v -> List(item))))
+    case Some(_) => super.tupleRdd(ctx)
   }
 }
 
@@ -83,55 +73,22 @@ final class LetClauseIterator(
     val parent: Option[ClauseIterator],
     varName: String,
     expr: RuntimeIterator,
-    reads: Vector[String],
     val outSchema: TupleSchema,
-    newCol: String,
-) extends ClauseIterator {
+) extends NarrowClauseIterator {
 
-  def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val p    = parent.get
-    val pdf  = p.getDataFrame(ctx)
-    val vs   = reads
-    val e    = expr
-    val base = ctx.enterClosure
-    val u = udf { (cells: Seq[Array[Byte]]) =>
-      val c = TupleSchema.contextFromCells(cells, vs, base)
-      ItemSerde.serializeSeq(e.materialize(c))
-    }
-    normalized(pdf.withColumn(newCol, u(cellsOf(p.outSchema, vs))))
-  }
-
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = parent match {
-    case None =>
-      Iterator.single(FlworTuple(Map(varName -> expr.materialize(ctx))))
-    case Some(p) =>
-      p.tupleIterator(ctx).map { t =>
-        t.updated(varName, expr.materialize(ctx.bindAll(t.bindings)))
-      }
-  }
+  protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
+    Iterator.single(t.updated(varName, expr.materialize(ctx.bindAll(t.bindings))))
 }
 
-/** `where expr` (paper §4.6): selection via a UDF computing the EBV. */
-final class WhereClauseIterator(input: ClauseIterator, val expr: RuntimeIterator,
-                                val reads: Vector[String])
-    extends ClauseIterator {
+/** `where expr` (paper §4.6): keeps the tuples whose EBV is true. */
+final class WhereClauseIterator(input: ClauseIterator, val expr: RuntimeIterator)
+    extends NarrowClauseIterator {
 
   def parent: Option[ClauseIterator] = Some(input)
   val outSchema: TupleSchema = input.outSchema
 
-  def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val pdf  = input.getDataFrame(ctx)
-    val vs   = reads
-    val e    = expr
-    val base = ctx.enterClosure
-    val u = udf { (cells: Seq[Array[Byte]]) =>
-      e.effectiveBoolean(TupleSchema.contextFromCells(cells, vs, base))
-    }
-    normalized(pdf.filter(u(cellsOf(input.outSchema, vs))))
-  }
-
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    input.tupleIterator(ctx).filter(t => expr.effectiveBoolean(ctx.bindAll(t.bindings)))
+  protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
+    if (expr.effectiveBoolean(ctx.bindAll(t.bindings))) Iterator.single(t) else Iterator.empty
 }
 
 /** Encodes a grouping/sorting key sequence into the paper's three native
@@ -151,6 +108,12 @@ object KeyEncoder {
     case _                      => (rank, "", 0.0)
   }
 
+  /** The DataFrame fields of key `name`: `name_r`, `name_s`, `name_n`. */
+  def fields(name: String): Seq[StructField] = Seq(
+    StructField(name + "_r", IntegerType, nullable = false),
+    StructField(name + "_s", StringType, nullable = false),
+    StructField(name + "_n", DoubleType, nullable = false))
+
   /** §4.8's first pass: all non-empty/non-null keys of one sort spec must
     * have a single comparable type (booleans count as one type; the
     * empty-sequence ranks 0/9 and the null rank 1 compare with anything). */
@@ -162,10 +125,8 @@ object KeyEncoder {
   }
 }
 
-/** One `order by` sort spec with its compiled key expression and the
-  * in-scope variables that expression reads. */
-final case class OrderSpec(expr: RuntimeIterator, descending: Boolean, emptyGreatest: Boolean,
-                           reads: Vector[String])
+/** One `order by` sort spec with its compiled key expression. */
+final case class OrderSpec(expr: RuntimeIterator, descending: Boolean, emptyGreatest: Boolean)
     extends Serializable
 
 /** How a non-grouping variable is aggregated by group-by (paper §4.7):
@@ -177,12 +138,14 @@ object GroupAggMode extends Enumeration {
   val Materialize, CountOnly, Drop = Value
 }
 
-/** `group by $k, ...` (paper §4.7): per key variable an encoded
-  * (type, string, number) column is added (in pure Scala, via a UDF); the
-  * DataFrame is grouped on the encoded columns; non-grouping variables are
-  * aggregated by concatenating their sequences (`SEQUENCE()` in the paper,
-  * a merge UDF over `collect_list` here), by a COUNT, or dropped, per
-  * [[GroupAggMode]]; key variables keep their first (all equal) binding.
+/** `group by $k, ...` (paper §4.7). On Spark each live tuple becomes one row
+  * of native columns: per key variable its (type, string, number) encoding
+  * and its cell; per CountOnly variable its sequence length; per
+  * Materialize variable its cell. The rows are grouped on the encoded key
+  * columns; key variables keep their first (all equal) cell, lengths are
+  * summed (COUNT in the paper) and materialized cells are collected and
+  * concatenated (`SEQUENCE()` in the paper); Drop variables are not
+  * written at all, per [[GroupAggMode]].
   *
   * A CountOnly variable `v` is re-bound under the name `v#count` (the
   * translator rewrites downstream `count($v)` calls to `$v#count`).
@@ -196,38 +159,45 @@ final class GroupByClauseIterator(
 
   private val nonKeys: Vector[String] = input.outSchema.vars.filterNot(keys.contains)
   private def modeOf(v: String)       = modes.getOrElse(v, GroupAggMode.Materialize)
+  private val kept    = nonKeys.filter(v => modeOf(v) == GroupAggMode.Materialize)
+  private val counted = nonKeys.filter(v => modeOf(v) == GroupAggMode.CountOnly)
 
   def parent: Option[ClauseIterator] = Some(input)
 
-  def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val inS = input.outSchema
-    var df  = input.getDataFrame(ctx)
-    val encUdf = udf { (b: Array[Byte]) => KeyEncoder.encodeGroup(ItemSerde.deserializeSeq(b)) }
-    val encCols = keys.map { k =>
-      val ec = "gk_" + inS.colOf(k)
-      df = df.withColumn(ec, encUdf(col(inS.colOf(k))))
-      ec
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+    val (ks, cs, ms) = (keys, counted, kept)
+    val rows = input.tupleRdd(ctx).map { t =>
+      val b = t.bindings
+      Row.fromSeq(
+        ks.flatMap { k =>
+          val seq       = b.getOrElse(k, Nil)
+          val (r, s, n) = KeyEncoder.encodeGroup(seq)
+          Seq(r, s, n, ItemSerde.serializeSeq(seq))
+        } ++ cs.map(v => b.getOrElse(v, Nil).size.toLong) ++
+          ms.map(v => ItemSerde.serializeSeq(b.getOrElse(v, Nil))))
     }
-    val mergeUdf = udf { (cells: Seq[Array[Byte]]) =>
-      ItemSerde.serializeSeq(cells.toList.flatMap(ItemSerde.deserializeSeq))
+    val schema = StructType(
+      ks.indices.flatMap(i => KeyEncoder.fields(s"k$i") :+ StructField(s"c$i", BinaryType)) ++
+        cs.indices.map(i => StructField(s"n$i", LongType)) ++
+        ms.indices.map(i => StructField(s"m$i", BinaryType)))
+    val aggs: Seq[Column] = ks.indices.map(i => first(s"c$i")) ++
+      cs.indices.map(i => sum(s"n$i")) ++ ms.indices.map(i => collect_list(s"m$i"))
+    val grouped = SparkSession.active.createDataFrame(rows, schema)
+      .groupBy(ks.indices.flatMap(i => KeyEncoder.fields(s"k$i").map(f => col(f.name))): _*)
+      .agg(aggs.head, aggs.tail: _*)
+    val at = 3 * ks.size
+    grouped.rdd.map { row =>
+      val kb = ks.indices.map(i => ks(i) -> ItemSerde.deserializeSeq(row.getAs[Array[Byte]](at + i)))
+      val cb = cs.indices.map(i =>
+        (cs(i) + "#count") -> List[Item](IntItem(row.getLong(at + ks.size + i))))
+      val mb = ms.indices.map(i =>
+        ms(i) -> row.getSeq[Array[Byte]](at + ks.size + cs.size + i).toList
+          .flatMap(ItemSerde.deserializeSeq))
+      FlworTuple((kb ++ cb ++ mb).toMap)
     }
-    // sequence length is the serde header — no need to deserialize items
-    val lenUdf    = udf { (b: Array[Byte]) => ItemSerde.seqLength(b) }
-    val serIntUdf = udf { (n: Long) => ItemSerde.serializeSeq(List(IntItem(n))) }
-    val aggs: Seq[Column] = outSchema.vars.map { v =>
-      val outCol = outSchema.colOf(v)
-      if (keys.contains(v)) first(col(inS.colOf(v))).as(outCol)
-      else if (v.endsWith("#count")) {
-        val orig = v.stripSuffix("#count")
-        serIntUdf(org.apache.spark.sql.functions.sum(lenUdf(col(inS.colOf(orig))))).as(outCol)
-      } else mergeUdf(collect_list(col(inS.colOf(v)))).as(outCol)
-    }
-    normalized(df.groupBy(encCols.map(col): _*).agg(aggs.head, aggs.tail: _*))
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
-    val kept    = nonKeys.filter(v => modeOf(v) == GroupAggMode.Materialize)
-    val counted = nonKeys.filter(v => modeOf(v) == GroupAggMode.CountOnly)
     val groups = scala.collection.mutable.LinkedHashMap
       .empty[Vector[(Int, String, Double)],
              (FlworTuple, Array[scala.collection.mutable.ListBuffer[Item]], Array[Long])]
@@ -259,43 +229,53 @@ final class GroupByClauseIterator(
   }
 }
 
-/** `order by` (paper §4.8): a first pass discovers the key types and throws
-  * on incompatibility; then encoded columns drive a Spark ORDER BY. */
-final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
+/** `order by` (paper §4.8). On Spark each live tuple becomes one row: per
+  * sort spec the (type, string, number) encoding of its key, evaluated on
+  * the tuple, then the cells of `kept` — the variables that later clauses
+  * and `return` read. A first pass over the persisted rows discovers the
+  * key types and throws on incompatibility; then the rows are
+  * range-partitioned on the key columns into as many partitions as the
+  * input has and sorted within each partition, which is Spark's global
+  * ORDER BY with the partition count taken from the data. */
+final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
+                                  val kept: Vector[String])
     extends ClauseIterator {
 
   def parent: Option[ClauseIterator] = Some(input)
-  val outSchema: TupleSchema = input.outSchema
+  val outSchema: TupleSchema     = input.outSchema
+  private val cells: TupleSchema = outSchema.restrictedTo(kept)
 
-  def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val base = ctx.enterClosure
-    var df   = input.getDataFrame(ctx)
-    val encCols = specs.zipWithIndex.map { case (spec, i) =>
-      val e  = spec.expr
-      val eg = spec.emptyGreatest
-      val vs = spec.reads
-      val u = udf { (cells: Seq[Array[Byte]]) =>
-        KeyEncoder.encodeOrder(e.materialize(TupleSchema.contextFromCells(cells, vs, base)), eg)
-      }
-      val ec = s"ok_$i"
-      df = df.withColumn(ec, u(cellsOf(input.outSchema, vs)))
-      ec
+  /** The sorted DataFrame: key columns `k<i>_r/_s/_n`, then the kept cells.
+    * It reads a cache that lives until the query's context is released. */
+  def sortedFrame(ctx: DynamicContext): DataFrame = {
+    val tuples = input.tupleRdd(ctx)
+    val cs     = cells
+    val base   = ctx.enterClosure
+    val ss     = specs
+    val rows = tuples.map { t =>
+      val c = base.bindAll(t.bindings)
+      TupleSchema.rowFromTuple(t, cs, ss.flatMap { s =>
+        val (r, str, n) = KeyEncoder.encodeOrder(s.expr.materialize(c), s.emptyGreatest)
+        Seq(r, str, n)
+      })
     }
-    // The type-discovery pass and the sort both consume the encoded tuple
-    // stream — cache it so the input is not recomputed (read + parsed)
-    // twice; it is released when the query's action has finished.
-    df = ctx.persistForQuery(df)
-    // First pass (one job): discover the value types of every sort key.
-    val rankSets =
-      df.select(encCols.map(ec => collect_set(col(ec + "._1")).as(ec)): _*).head()
-    encCols.indices.foreach { i =>
-      KeyEncoder.checkOrderRanks(rankSets.getSeq[Int](i), i)
+    val keyFields = specs.indices.flatMap(i => KeyEncoder.fields(s"k$i"))
+    // The type-discovery pass, the range sampling and the sort all read the
+    // encoded rows — cache them so the input is not recomputed.
+    val df = ctx.persistForQuery(SparkSession.active.createDataFrame(
+      rows, StructType(keyFields ++ cells.structType.fields)))
+    val rankSets = df.select(specs.indices.map(i => collect_set(s"k${i}_r")): _*).head()
+    specs.indices.foreach(i => KeyEncoder.checkOrderRanks(rankSets.getSeq[Int](i), i))
+    val order = specs.zipWithIndex.flatMap { case (spec, i) =>
+      KeyEncoder.fields(s"k$i").map(f => if (spec.descending) col(f.name).desc else col(f.name).asc)
     }
-    val orderExprs = specs.zip(encCols).flatMap { case (spec, ec) =>
-      Seq(col(ec + "._1"), col(ec + "._2"), col(ec + "._3"))
-        .map(c => if (spec.descending) c.desc else c.asc)
-    }
-    normalized(df.orderBy(orderExprs: _*))
+    df.repartitionByRange(math.max(1, tuples.getNumPartitions), order: _*)
+      .sortWithinPartitions(order: _*)
+  }
+
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+    val cs = cells
+    sortedFrame(ctx).select(cs.cols.map(col): _*).rdd.map(TupleSchema.tupleFromRow(_, cs))
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
@@ -331,25 +311,19 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec])
   }
 }
 
-/** `count $v` (paper §4.9): zipWithIndex is not available on DataFrames, so
-  * the incremental-integer column is added via the underlying RDD (the
-  * Glotov StackOverflow technique the paper cites). */
+/** `count $v` (paper §4.9): the tuple RDD's `zipWithIndex`, the technique
+  * the paper uses because DataFrames lack it. */
 final class CountClauseIterator(
     input: ClauseIterator,
     varName: String,
     val outSchema: TupleSchema,
-    newCol: String,
 ) extends ClauseIterator {
 
   def parent: Option[ClauseIterator] = Some(input)
 
-  def getDataFrame(ctx: DynamicContext): DataFrame = {
-    val pdf = input.getDataFrame(ctx)
-    val rdd = pdf.rdd.zipWithIndex().map { case (row, i) =>
-      Row.fromSeq(row.toSeq :+ ItemSerde.serializeSeq(List(IntItem(i + 1))))
-    }
-    val schema = StructType(pdf.schema.fields :+ StructField(newCol, BinaryType, nullable = true))
-    normalized(SparkSession.active.createDataFrame(rdd, schema))
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+    val v = varName
+    input.tupleRdd(ctx).zipWithIndex().map { case (t, i) => t.updated(v, List(IntItem(i + 1))) }
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
@@ -360,30 +334,30 @@ final class CountClauseIterator(
 
 /** How a FLWOR runs: locally through the clauses' tuple iterators; as the
   * paper's Figure-9 RDD mapping (`for` → flatMap, `where` → filter, §5.7);
-  * or as a DataFrame tuple stream (§4.3–4.10). */
+  * as an RDD of live tuples (`Tuples`); or as that RDD encoded into the
+  * paper's DataFrame at each `group by` / `order by` (`DataFrame`,
+  * §4.7–4.8). */
 object FlworPath extends Enumeration {
-  val Local, Rdd, DataFrame = Value
+  val Local, Rdd, Tuples, DataFrame = Value
 }
 
 /** The whole FLWOR expression (clause chain + `return`, paper §4.10): an
   * *expression* iterator producing items, run on the path [[path]] picks.
   * On `Rdd` the initial `for`'s source RDD is filtered by the `where`
-  * clauses and flat-mapped by `return`, with no tuple DataFrame ("none of
-  * the intermediate sequences of items is ever materialized"). On
-  * `DataFrame`, `return` maps the last clause's DataFrame to an RDD of
-  * items with a flatMap. On `Local` it consumes the clauses' tuples.
+  * clauses and flat-mapped by `return`, with no tuple object ("none of the
+  * intermediate sequences of items is ever materialized"). On `Tuples` and
+  * `DataFrame`, `return` flat-maps the last clause's tuple RDD. On `Local`
+  * it consumes the clauses' tuples.
   *
-  * @param retReads the in-scope variables the return expression reads; the
-  *        DataFrame-to-RDD flatMap decodes only their columns
   * @param singletonReturn the translator proved the return expression
   *        yields exactly one item per tuple (a for-bound variable, an
   *        object/array constructor, a literal); a consuming `count()` can
-  *        then count the selected items or the DataFrame's tuples without
+  *        then count the selected items or the tuples without
   *        materializing any item — the same aggregation-detection family
   *        as the paper's §4.7 COUNT pushdown.
   */
 final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
-                          retReads: Vector[String], singletonReturn: Boolean = false)
+                          singletonReturn: Boolean = false)
     extends RuntimeIterator {
 
   /** The clause chain, first clause first. */
@@ -393,18 +367,22 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
   /** The one decision of how this FLWOR runs in `ctx`: `Local` inside a
     * closure or unless the first clause is a `for` over an RDD-capable
     * expression; `Rdd` when that `for` is followed only by `where`
-    * clauses; `DataFrame` otherwise. */
+    * clauses; `DataFrame` when a clause shuffles; `Tuples` otherwise. */
   def path(ctx: DynamicContext): FlworPath.Value = clauses.head match {
     case f: ForClauseIterator if !ctx.insideClosure && f.expr.isRDD(ctx) =>
       if (clauses.tail.forall(_.isInstanceOf[WhereClauseIterator])) FlworPath.Rdd
-      else FlworPath.DataFrame
+      else if (clauses.exists {
+        case _: GroupByClauseIterator | _: OrderByClauseIterator => true
+        case _                                                   => false
+      }) FlworPath.DataFrame
+      else FlworPath.Tuples
     case _ => FlworPath.Local
   }
 
   private def initialFor: ForClauseIterator = clauses.head.asInstanceOf[ForClauseIterator]
 
   /** On `Rdd`: the source items that pass every `where`. */
-  private def selected(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
+  private def selected(ctx: DynamicContext): RDD[Item] = {
     val v    = initialFor.varName
     val ws   = clauses.tail.collect { case w: WhereClauseIterator => w.expr }
     val base = ctx.enterClosure
@@ -416,31 +394,27 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
 
   override def isRDD(ctx: DynamicContext): Boolean = path(ctx) != FlworPath.Local
 
-  override def getRDD(ctx: DynamicContext): org.apache.spark.rdd.RDD[Item] = {
+  override def getRDD(ctx: DynamicContext): RDD[Item] = {
     val base = ctx.enterClosure
     val re   = retExpr
     path(ctx) match {
       case FlworPath.Rdd =>
         val v = initialFor.varName
         selected(ctx).flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
-      case FlworPath.DataFrame =>
-        val schema = last.outSchema.restrictedTo(retReads)
-        val df     = last.getDataFrame(ctx).select(schema.cols.map(col): _*)
-        df.rdd.mapPartitions { rows =>
-          rows.flatMap(row => re.materialize(TupleSchema.contextFromRow(row, schema, base)))
-        }
       case FlworPath.Local => super.getRDD(ctx)
+      case _ =>
+        last.tupleRdd(ctx).flatMap(t => re.localIterator(base.bindAll(t.bindings)))
     }
   }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     last.tupleIterator(ctx).flatMap(t => retExpr.localIterator(ctx.bindAll(t.bindings)))
 
-  /** Counts the selected items or the DataFrame's tuples when the return
-    * yields one item each. */
+  /** Counts the selected items or the tuples when the return yields one
+    * item each. */
   override def count(ctx: DynamicContext): Long = path(ctx) match {
-    case FlworPath.Rdd if singletonReturn       => selected(ctx).count()
-    case FlworPath.DataFrame if singletonReturn => last.getDataFrame(ctx).count()
-    case _                                      => super.count(ctx)
+    case p if p == FlworPath.Local || !singletonReturn => super.count(ctx)
+    case FlworPath.Rdd                                 => selected(ctx).count()
+    case _                                             => last.tupleRdd(ctx).count()
   }
 }

@@ -21,7 +21,8 @@ object FlworTuple {
 /** Maps in-scope FLWOR variables to DataFrame column names (paper §4.3:
   * tuple streams are structured — same variables in every tuple — so they
   * map to a DataFrame with one column per variable, each cell a serialized
-  * sequence of items).
+  * sequence of items). Such a DataFrame exists only at a `group by` or
+  * `order by`, where the live tuples are encoded for the shuffle.
   *
   * Columns get fresh sanitized names (`v3_count`) so JSONiq names with
   * hyphens etc. are legal and variable *redeclaration* (paper §4.5) simply
@@ -30,10 +31,6 @@ object FlworTuple {
 final case class TupleSchema(entries: Vector[(String, String)], nextId: Int) {
   def vars: Vector[String] = entries.map(_._1)
   def cols: Vector[String] = entries.map(_._2)
-
-  def colOf(name: String): String =
-    entries.find(_._1 == name).map(_._2).getOrElse(
-      throw new IllegalStateException(s"variable $$$name not in tuple schema"))
 
   def hasVar(name: String): Boolean = entries.exists(_._1 == name)
 
@@ -55,21 +52,22 @@ final case class TupleSchema(entries: Vector[(String, String)], nextId: Int) {
 object TupleSchema {
   val empty: TupleSchema = TupleSchema(Vector.empty, 0)
 
-  /** Rebuild a dynamic context from a DataFrame row laid out per `schema`
-    * (used inside Spark closures; `base` must already be `enterClosure`d). */
-  def contextFromRow(row: Row, schema: TupleSchema, base: DynamicContext): DynamicContext =
-    base.bindAll(
-      schema.entries.indices.map { i =>
-        schema.entries(i)._1 -> ItemSerde.deserializeSeq(row.getAs[Array[Byte]](i))
-      }.toMap)
+  /** Decode the cells of `varNames`, in that order, into their bindings. */
+  private def bindingsOf(cells: Seq[Array[Byte]], varNames: Seq[String]): Map[String, List[Item]] =
+    varNames.indices.map(i => varNames(i) -> ItemSerde.deserializeSeq(cells(i))).toMap
 
-  /** Same, from the cells of an `array(binary)` UDF argument. */
+  /** Rebuild a tuple from a DataFrame row laid out per `schema`. */
+  def tupleFromRow(row: Row, schema: TupleSchema): FlworTuple =
+    FlworTuple(bindingsOf(schema.cols.indices.map(row.getAs[Array[Byte]]), schema.vars))
+
+  /** A dynamic context binding the cells of `varNames` (`base` must already
+    * be `enterClosure`d when used inside Spark closures). */
   def contextFromCells(cells: Seq[Array[Byte]], varNames: Seq[String],
                        base: DynamicContext): DynamicContext =
-    base.bindAll(
-      varNames.indices.map(i => varNames(i) -> ItemSerde.deserializeSeq(cells(i))).toMap)
+    base.bindAll(bindingsOf(cells, varNames))
 
-  /** Serialize a tuple into a Row laid out per `schema`. */
-  def rowFromTuple(t: FlworTuple, schema: TupleSchema): Row =
-    Row.fromSeq(schema.vars.map(v => ItemSerde.serializeSeq(t.bindings.getOrElse(v, Nil))))
+  /** Serialize a tuple into a Row laid out per `schema`, after the `prefix`
+    * columns. */
+  def rowFromTuple(t: FlworTuple, schema: TupleSchema, prefix: Seq[Any] = Nil): Row =
+    Row.fromSeq(prefix ++ schema.vars.map(v => ItemSerde.serializeSeq(t.bindings.getOrElse(v, Nil))))
 }

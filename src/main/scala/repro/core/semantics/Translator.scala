@@ -109,18 +109,16 @@ object Translator {
     var ret                           = ret0
 
     def addFor(name: String, expr: ExprAst): Unit = {
-      val e                   = translateExpr(expr, sc)
-      val (newSchema, newCol) = schema.withVar(name)
-      chain = Some(new ForClauseIterator(chain, name, e, readsOf(expr, schema), newSchema, newCol))
-      schema = newSchema
+      val e = translateExpr(expr, sc)
+      schema = schema.withVar(name)._1
+      chain = Some(new ForClauseIterator(chain, name, e, schema))
       sc = sc.withVar(name)
     }
 
     def addLet(name: String, expr: ExprAst): Unit = {
-      val e                   = translateExpr(expr, sc)
-      val (newSchema, newCol) = schema.withVar(name)
-      chain = Some(new LetClauseIterator(chain, name, e, readsOf(expr, schema), newSchema, newCol))
-      schema = newSchema
+      val e = translateExpr(expr, sc)
+      schema = schema.withVar(name)._1
+      chain = Some(new LetClauseIterator(chain, name, e, schema))
       sc = sc.withVar(name)
     }
 
@@ -132,7 +130,7 @@ object Translator {
         case LetClauseAst(bindings) => bindings.foreach { case (v, e) => addLet(v, e) }
 
         case WhereClauseAst(e) =>
-          chain = Some(new WhereClauseIterator(chain.get, translateExpr(e, sc), readsOf(e, schema)))
+          chain = Some(new WhereClauseIterator(chain.get, translateExpr(e, sc)))
 
         case GroupByClauseAst(keys) =>
           // binding form first: group by $k := e  ≡  let $k := e then group by $k
@@ -176,20 +174,25 @@ object Translator {
 
         case OrderByClauseAst(specs) =>
           val compiled = specs.map(s =>
-            OrderSpec(translateExpr(s.expr, sc), s.descending, s.emptyGreatest,
-                      readsOf(s.expr, schema)))
-          chain = Some(new OrderByClauseIterator(chain.get, compiled))
+            OrderSpec(translateExpr(s.expr, sc), s.descending, s.emptyGreatest))
+          // the sort encodes only what later clauses and `return` read
+          val downstream = remaining.flatMap(clauseExprs) :+ ret
+          val groupKeys = remaining.flatMap {
+            case GroupByClauseAst(ks) => ks.map(_._1)
+            case _                    => Nil
+          }
+          val kept = schema.vars.filter(v =>
+            groupKeys.contains(v) || downstream.exists(usage(_, v)._1))
+          chain = Some(new OrderByClauseIterator(chain.get, compiled, kept))
 
         case CountClauseAst(v) =>
-          val (newSchema, newCol) = schema.withVar(v)
-          chain = Some(new CountClauseIterator(chain.get, v, newSchema, newCol))
-          schema = newSchema
+          schema = schema.withVar(v)._1
+          chain = Some(new CountClauseIterator(chain.get, v, schema))
           sc = sc.withVar(v)
       }
     }
 
-    new FlworIterator(chain.get, translateExpr(ret, sc), readsOf(ret, schema),
-                      singletonReturn(ret, clauses))
+    new FlworIterator(chain.get, translateExpr(ret, sc), singletonReturn(ret, clauses))
   }
 
   /** True when the return expression provably yields exactly one item per
@@ -219,12 +222,7 @@ object Translator {
     }
   }
 
-  // ------------------------------- usage analysis: group-by modes, column pruning
-
-  /** The variables of `schema` that `e` reads: the columns a clause UDF
-    * decodes. Over-approximates where a nested FLWOR rebinds a name. */
-  private def readsOf(e: ExprAst, schema: TupleSchema): Vector[String] =
-    schema.vars.filter(v => usage(e, v)._1)
+  // ------------------------- usage analysis: group-by modes, order-by cells
 
   /** All expression ASTs directly contained in a clause. */
   private def clauseExprs(c: ClauseAst): List[ExprAst] = c match {

@@ -2,29 +2,18 @@ package repro.core
 
 import repro.core.model._
 import repro.core.runtime.{DynamicContext, RumbleConf}
-import repro.core.runtime.flwor.{FlworIterator, FlworPath, WhereClauseIterator}
+import repro.core.runtime.flwor.{FlworIterator, FlworPath, OrderByClauseIterator}
 import repro.bench.RumbleQueries
+import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.sql.catalyst.plans.physical.RangePartitioning
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 
-/** FLWOR execution on DataFrames (paper §4.3–4.10, §5.8): tuple streams as
-  * all-binary DataFrames, clauses as DataFrame operations. Each query is
-  * checked to actually run on Spark (isRDD on the root FLWOR: the Fig. 9
-  * RDD path or the DataFrame path) and to agree with the forced-local
-  * engine. */
+/** FLWOR execution on Spark (paper §4.3–4.10, §5.8): narrow clauses over an
+  * RDD of live tuples, `group by` and `order by` over the paper's
+  * DataFrame encoding. Each query is checked to actually run on Spark
+  * (isRDD on the root FLWOR: the Fig. 9 RDD path, the tuple RDD or the
+  * DataFrame path) and to agree with the forced-local engine. */
 class DataFrameFlworSpec extends RumbleSpec {
-
-  /** Assert the FLWOR root is Spark-backed, then compare both engines. */
-  private def checkAgainstLocal(query: String, ordered: Boolean = true): Unit = {
-    val it = rumble.compile(query)
-    assert(it.isRDD(DynamicContext.root(RumbleConf())), s"expected a Spark path for: $query")
-    val sparkRes = rumble.run(query)
-    val localRes = rumbleLocal.run(localized(query))
-    if (ordered) assert(ser(sparkRes) == ser(localRes))
-    else assert(sparkRes.map(i => repro.core.json.JsonWriter.write(i)).sorted ==
-                localRes.map(i => repro.core.json.JsonWriter.write(i)).sorted)
-  }
-
-  /** The local engine sees the same query (parallelize degrades locally). */
-  private def localized(q: String): String = q
 
   test("initial for over an RDD creates the one-column DataFrame (§4.4)") {
     checkAgainstLocal("for $x in parallelize(1 to 50) return $x")
@@ -42,7 +31,7 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   test("two-binding for on the DataFrame path") {
     val q = "for $x in parallelize(1 to 4), $y in 1 to $x where $x + $y gt 4 return [$x, $y]"
-    assert(flworPath(q) == FlworPath.DataFrame)
+    assert(flworPath(q) == FlworPath.Tuples)
     checkAgainstLocal(q)
   }
 
@@ -241,8 +230,11 @@ class DataFrameFlworSpec extends RumbleSpec {
          |let $$t := $$i.target
          |where $$g eq $$t
          |return $$i""".stripMargin
-    Seq(RumbleQueries.group(confusionFile), RumbleQueries.sort(confusionFile), letWhere)
+    // group and sort shuffle, so they encode their tuples into DataFrames;
+    // let-where has no shuffle and stays an RDD of live tuples
+    Seq(RumbleQueries.group(confusionFile), RumbleQueries.sort(confusionFile))
       .foreach(q => assert(flworPath(q) == FlworPath.DataFrame, q))
+    assert(flworPath(letWhere) == FlworPath.Tuples)
     // the group's $i is only counted (§4.7 CountOnly)
     val group = rumble.compile(RumbleQueries.group(confusionFile)).asInstanceOf[FlworIterator]
     assert(group.last.outSchema.vars.toSet == Set("target", "i#count"))
@@ -294,14 +286,18 @@ class DataFrameFlworSpec extends RumbleSpec {
   }
 
   test("the let-where query's where clause reads only $g and $t") {
-    val it = rumble.compile(
-      """for $i in parallelize(({"guess": "a", "target": "a"}))
+    // The where clause runs on the live tuple and decodes nothing; the
+    // order boundary after it encodes only the variables read downstream.
+    val q =
+      """for $i in parallelize(({"guess": "a", "target": "a"}, {"guess": "b", "target": "b"}))
         |let $g := $i.guess
         |let $t := $i.target
         |where $g eq $t
-        |return $i""".stripMargin)
-    assert(it.asInstanceOf[FlworIterator].last.asInstanceOf[WhereClauseIterator].reads ==
-      Vector("g", "t"))
+        |order by $i.guess descending
+        |return [$g, $t]""".stripMargin
+    assert(rumble.compile(q).asInstanceOf[FlworIterator].last
+      .asInstanceOf[OrderByClauseIterator].kept == Vector("g", "t"))
+    checkAgainstLocal(q)
   }
 
   test("order by leaves nothing cached once the query's action is done") {
@@ -310,6 +306,71 @@ class DataFrameFlworSpec extends RumbleSpec {
     val out = new java.io.File(
       java.nio.file.Files.createTempDirectory("rumble-out").toFile, "res").getAbsolutePath
     rumble.writeJsonLines(q, out)
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
+  test("runToRdd leaves the order-by cache to its caller, who can release it") {
+    val q   = "for $x in parallelize((3, 1, 2)) order by $x return $x"
+    val rdd = rumble.runToRdd(q)
+    assert(rdd.collect().toList == List(IntItem(1), IntItem(2), IntItem(3)))
+    assert(spark.sparkContext.getPersistentRDDs.nonEmpty)
+    spark.catalog.clearCache()
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
+  // ---------------------------------------------- the order-by boundary
+
+  test("the sort's plan has no key UDF and a range exchange sized to its input") {
+    val q     = RumbleQueries.sort(confusionFile)
+    val order = rumble.compile(q).asInstanceOf[FlworIterator].last
+      .asInstanceOf[OrderByClauseIterator]
+    val ctx = DynamicContext.root(RumbleConf())
+    try {
+      val sorted = order.sortedFrame(ctx)
+      val plan   = sorted.queryExecution.sparkPlan
+      val udfs   = plan.collect { case p => p.expressions.flatMap(_.collect { case u: ScalaUDF => u }) }
+      assert(udfs.flatten.isEmpty, plan)
+      val exchanges = plan.collect { case e: ShuffleExchangeExec => e.outputPartitioning }
+      val inputParts = order.parent.get.tupleRdd(ctx).getNumPartitions
+      assert(exchanges.size == 1, plan)
+      exchanges.head match {
+        case r: RangePartitioning => assert(r.numPartitions == inputParts)
+        case other                => fail(s"expected a range exchange, got $other")
+      }
+      assert(inputParts != spark.conf.get("spark.sql.shuffle.partitions").toInt)
+      // the return reads only $i, so $i is the one cell next to the keys
+      assert(sorted.columns.toSeq ==
+        (0 until 3).flatMap(i => Seq(s"k${i}_r", s"k${i}_s", s"k${i}_n")) :+ "v0_i")
+    } finally ctx.releasePersisted()
+  }
+
+  test("an order by over a one-partition RDD sorts into one partition") {
+    val q = "for $x in parallelize((3, 1, 2, 5, 4), 1) order by $x descending return $x"
+    checkAgainstLocal(q)
+    val ctx = DynamicContext.root(RumbleConf())
+    try assert(rumble.compile(q).getRDD(ctx).getNumPartitions == 1)
+    finally ctx.releasePersisted()
+  }
+
+  // ------------------------------- JSONiq errors raised inside Spark tasks
+
+  test("FOAR0001 in a where after a let reaches the caller as itself") {
+    val q = "for $x in parallelize(0 to 9) let $y := $x where $y div $x gt 0 return $x"
+    assert(flworPath(q) == FlworPath.Tuples)
+    expectError(q, "FOAR0001")(rumble.run)
+    expectError(q, "FOAR0001")(rumble.runCount)
+    expectError(q, "FOAR0001")(rumble.runIterator(_).toList)
+    expectError(q, "FOAR0001")(rumbleLocal.run)
+  }
+
+  test("FOAR0001 in an order-by key reaches the caller as itself") {
+    val q = "for $x in parallelize(0 to 9) order by 10 div $x return $x"
+    assert(flworPath(q) == FlworPath.DataFrame)
+    expectError(q, "FOAR0001")(rumble.run)
+    val out = new java.io.File(
+      java.nio.file.Files.createTempDirectory("rumble-out").toFile, "res").getAbsolutePath
+    expectError(q, "FOAR0001")(rumble.writeJsonLines(_, out))
+    expectError(q, "FOAR0001")(rumbleLocal.run)
     assert(spark.sparkContext.getPersistentRDDs.isEmpty)
   }
 }

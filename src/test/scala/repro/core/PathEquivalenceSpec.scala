@@ -1,0 +1,109 @@
+package repro.core
+
+import repro.datasets.HeterogeneousData
+
+/** One answer per query: FLWOR shapes that mix narrow clauses with the
+  * shuffling `group by` / `order by`, each run on Spark (the tuple RDD,
+  * with DataFrames at the shuffles) and under `forceLocal`. Both must
+  * return the same items, or raise the same JSONiq error code. */
+class PathEquivalenceSpec extends RumbleSpec {
+
+  private val objs =
+    """parallelize(({"a": 1, "b": "x", "c": 10}, {"a": 2, "b": "y", "c": 20}, {"a": 1, "b": "z"},
+      |{"a": 3, "b": null, "c": 5}, {"a": 2, "b": "w", "c": 7}))""".stripMargin
+
+  // bar: number | array | string; foobar: boolean | string | absent
+  private lazy val fig5 = tempJsonFile("fig5-paths",
+    (0 until 60).map(i => HeterogeneousData.fig5Line(i.toLong, 12L)))
+  // country: string | array of strings | null | absent
+  private lazy val fig7 = tempJsonFile("fig7-paths",
+    (0 until 80).map(i => HeterogeneousData.fig7Line(i.toLong, 11L)))
+
+  /** (shape, query, whether the result order is defined). */
+  private def shapes: Seq[(String, String, Boolean)] = Seq(
+    ("let before group by",
+     s"""for $$o in $objs let $$a := $$o.a group by $$k := $$a order by $$k
+        |return {"k": $$k, "n": count($$o)}""".stripMargin, true),
+    ("CountOnly and Materialize variables in one group by",
+     s"""for $$o in $objs let $$c := $$o.c group by $$k := $$o.a order by $$k
+        |return {"k": $$k, "n": count($$o), "s": sum($$c)}""".stripMargin, true),
+    ("for after group by",
+     s"""for $$o in $objs group by $$k := $$o.a for $$b in $$o.b order by $$k, $$b
+        |return [$$k, $$b]""".stripMargin, true),
+    ("let after group by reads the count",
+     s"""for $$o in $objs group by $$k := $$o.a let $$n := count($$o)
+        |order by $$n descending, $$k return [$$k, $$n]""".stripMargin, true),
+    ("group by two keys, one of them sometimes empty",
+     s"""for $$o in $objs group by $$a := $$o.a, $$c := $$o.c order by $$a, $$c
+        |return [$$a, $$c]""".stripMargin, true),
+    ("count after let",
+     """for $x in parallelize(1 to 12) let $y := $x * 2 count $c where $c mod 3 eq 0
+       |return [$c, $y]""".stripMargin, true),
+    ("count after order by",
+     s"""for $$o in $objs order by $$o.a descending, $$o.b count $$c
+        |return {"c": $$c, "b": $$o.b}""".stripMargin, true),
+    ("order by empty greatest",
+     s"for $$o in $objs order by $$o.c empty greatest return $$o.b", true),
+    ("order by empty least, descending",
+     s"for $$o in $objs order by $$o.c descending empty least return $$o.b", true),
+    ("order by with nulls, descending",
+     s"for $$o in $objs order by $$o.b descending return $$o.a", true),
+    ("order key on a variable that return does not read",
+     s"for $$o in $objs let $$k := $$o.c order by $$k descending return $$o.b", true),
+    ("where after order by",
+     s"for $$o in $objs order by $$o.a, $$o.b where $$o.a ge 2 return $$o.b", true),
+    ("order by, then group by",
+     s"""for $$o in $objs order by $$o.c group by $$k := $$o.a order by $$k
+        |return {"k": $$k, "n": count($$o)}""".stripMargin, true),
+    ("for after order by",
+     "for $x in parallelize((2, 3, 1)) order by $x for $y in 1 to $x return [$x, $y]", true),
+    ("order by a rebound variable",
+     "for $x in parallelize(1 to 4) let $x := 5 - $x order by $x return $x", true),
+    ("two fors",
+     "for $x in parallelize(1 to 3) for $y in $x to 3 return [$x, $y]", true),
+    ("nested FLWOR in a let",
+     """for $x in parallelize(1 to 5)
+       |let $s := (for $y in 1 to $x where $y mod 2 eq 1 return $y * 10)
+       |return sum($s)""".stripMargin, true),
+    ("order by over an RDD with one partition",
+     "for $x in parallelize((5, 3, 9, 1, 7), 1) order by $x descending return $x", true),
+    ("an empty stream through order by and group by",
+     """for $x in parallelize(1 to 4) where $x gt 10 group by $k := $x mod 2 order by $k
+       |return $k""".stripMargin, true),
+    ("HeterogeneousData: boolean, string and empty group keys",
+     s"""for $$o in json-file("$fig5") group by $$k := $$o.foobar
+        |return {"k": $$k, "n": count($$o)}""".stripMargin, false),
+    ("HeterogeneousData: order by a string key after a let",
+     s"""for $$o in json-file("$fig5") let $$f := $$o.foo where $$o.bar[[1]] ge 5
+        |order by $$f descending return $$f""".stripMargin, true),
+    ("HeterogeneousData: normalized Fig. 7 keys, grouped then sorted",
+     s"""for $$o in json-file("$fig7")
+        |let $$c := if (exists($$o.country[])) then $$o.country[[1]] else $$o.country
+        |group by $$k := $$c
+        |order by $$k empty greatest
+        |return {"k": $$k, "n": count($$o), "v": sum($$o.value)}""".stripMargin, true),
+    // errors: the same code on both paths
+    ("HeterogeneousData: mixed boolean/string order key is XPTY0004",
+     s"""for $$o in json-file("$fig5") order by $$o.foobar return $$o.foo""", true),
+    ("HeterogeneousData: raw Fig. 7 array keys are XPTY0004",
+     s"""for $$o in json-file("$fig7") group by $$k := $$o.country
+        |return count($$o)""".stripMargin, false),
+    ("FOAR0001 in a let",
+     "for $x in parallelize(0 to 3) let $y := 1 div $x return $y", true),
+    ("FOAR0001 in a group key",
+     "for $x in parallelize(0 to 3) group by $k := 1 div $x return $k", false),
+    ("FORG0006 from the EBV of a where after a let",
+     "for $x in parallelize(1 to 3) let $s := ($x, $x) where $s return $x", true),
+  )
+
+  for ((shape, q, ordered) <- shapes)
+    test(s"Spark and local agree: $shape") {
+      checkAgainstLocal(q, ordered)
+    }
+
+  test("the table's error rows raise errors and one row is empty") {
+    val outcomes = shapes.map { case (_, q, _) => outcome(rumbleLocal, q) }
+    assert(outcomes.count(_.isLeft) == 5)
+    assert(outcomes.count(_ == Right(Nil)) == 1)
+  }
+}

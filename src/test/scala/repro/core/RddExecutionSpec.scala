@@ -134,9 +134,9 @@ class RddExecutionSpec extends RumbleSpec {
     val q = "for $x in parallelize(1 to 100) where $x mod 2 eq 0 return $x"
     assert(flworPath(q) == FlworPath.Rdd)
     assert(rumble.runCount(q) == 50)
-    // a let clause forces the general tuple-stream (DataFrame) path
+    // a let clause forces the general path: an RDD of live tuples
     assert(flworPath("for $x in parallelize(1 to 10) let $y := $x where $y gt 5 return $y") ==
-      FlworPath.DataFrame)
+      FlworPath.Tuples)
   }
 
   test("fast-path FLWOR matches the general path's semantics") {

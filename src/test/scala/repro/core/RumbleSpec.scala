@@ -29,6 +29,24 @@ trait RumbleSpec extends SparkSpec {
   /** Run on the Spark-enabled engine and serialize. */
   def evalSpark(query: String): String = ser(rumble.run(query))
 
+  /** A query's outcome on `r`: its serialized items, or the code of the
+    * JSONiq error it raised. */
+  def outcome(r: Rumble, query: String): Either[String, List[String]] =
+    try Right(r.run(query).map(JsonWriter.write))
+    catch { case e: RumbleException => Left(e.code) }
+
+  /** Assert the FLWOR root runs on a Spark path (Rdd, Tuples or DataFrame),
+    * then that it returns the forced-local engine's items — in the same
+    * order unless `ordered` is false — or raises the same error code. */
+  def checkAgainstLocal(query: String, ordered: Boolean = true): Unit = {
+    assert(rumble.compile(query).isRDD(DynamicContext.root(RumbleConf())),
+      s"expected a Spark path for: $query")
+    val onSpark = outcome(rumble, query)
+    val local   = outcome(rumbleLocal, query)
+    if (ordered) assert(onSpark == local, query)
+    else assert(onSpark.map(_.sorted) == local.map(_.sorted), query)
+  }
+
   def expectError(query: String, codePrefix: String)(run: String => Any): Unit = {
     val e = intercept[RumbleException](run(query))
     assert(e.code.startsWith(codePrefix), s"expected $codePrefix, got ${e.code}: ${e.getMessage}")

@@ -24,7 +24,7 @@ class TupleSchemaSpec extends AnyFunSuite {
     val (s3, c3) = s2.withVar("x")
     assert(s3.vars == Vector("y", "x"))
     assert(c3 == "v2_x")
-    assert(s3.colOf("x") == "v2_x")
+    assert(s3.cols == Vector("v1_y", "v2_x"))
   }
 
   test("similar names cannot collide (fresh ids disambiguate)") {
@@ -40,19 +40,27 @@ class TupleSchemaSpec extends AnyFunSuite {
       org.apache.spark.sql.types.BinaryType))
   }
 
-  test("colOf on a missing variable fails") {
-    assertThrows[IllegalStateException](TupleSchema.empty.colOf("x"))
-  }
-
-  test("rowFromTuple/contextFromRow round-trip") {
+  test("rowFromTuple/tupleFromRow round-trip") {
     val (s1, _) = TupleSchema.empty.withVar("a")
     val (s, _)  = s1.withVar("b")
     val t = FlworTuple(Map("a" -> List(IntItem(1), IntItem(2)), "b" -> List(StringItem("x"))))
     val row  = TupleSchema.rowFromTuple(t, s)
-    val base = DynamicContext.root(RumbleConf()).enterClosure
-    val ctx  = TupleSchema.contextFromRow(row, s, base)
-    assert(ctx.lookupOrFail("a") == List(IntItem(1), IntItem(2)))
-    assert(ctx.lookupOrFail("b") == List(StringItem("x")))
+    val back = TupleSchema.tupleFromRow(row, s)
+    assert(back.bindings("a") == List(IntItem(1), IntItem(2)))
+    assert(back.bindings("b") == List(StringItem("x")))
+    // key columns go before the cells
+    val keyed = TupleSchema.rowFromTuple(t, s, Seq(5, "k", 1.5))
+    assert(keyed.toSeq.take(3) == Seq(5, "k", 1.5))
+    assert(ItemSerde.deserializeSeq(keyed.getAs[Array[Byte]](4)) == List(StringItem("x")))
+  }
+
+  test("contextFromCells binds each cell under its variable") {
+    val cells = Seq(ItemSerde.serializeSeq(List(IntItem(1))), ItemSerde.serializeSeq(Nil))
+    val base  = DynamicContext.root(RumbleConf()).enterClosure
+    val ctx   = TupleSchema.contextFromCells(cells, Seq("a", "b"), base)
+    assert(ctx.lookupOrFail("a") == List(IntItem(1)))
+    assert(ctx.lookupOrFail("b") == Nil)
+    assert(ctx.insideClosure)
   }
 
   test("missing bindings serialize as empty sequences") {

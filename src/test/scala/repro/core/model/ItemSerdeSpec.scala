@@ -46,10 +46,6 @@ class ItemSerdeSpec extends AnyFunSuite {
     rt((1 to 1000).map(i => if (i % 2 == 0) IntItem(i.toLong) else StringItem(s"s$i")))
   }
 
-  test("serializeItem is a singleton sequence") {
-    assert(ItemSerde.deserializeSeq(ItemSerde.serializeItem(IntItem(7))) == List(IntItem(7)))
-  }
-
   test("null bytes deserialize to empty") {
     assert(ItemSerde.deserializeSeq(null) == Nil)
   }
@@ -57,7 +53,6 @@ class ItemSerdeSpec extends AnyFunSuite {
   test("sequence length is readable from the header") {
     val bytes = ItemSerde.serializeSeq(Seq(IntItem(1), IntItem(2), IntItem(3)))
     assert(java.nio.ByteBuffer.wrap(bytes).getInt == 3)
-    assert(ItemSerde.seqLength(bytes) == 3)
   }
 
   test("an unknown tag is a SERDE error") {
