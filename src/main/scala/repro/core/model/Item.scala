@@ -154,12 +154,13 @@ object Item {
   /** Total order on comparable atomics: null < booleans < (strings|numbers).
     * Strings and numbers are mutually incomparable (XPTY0004), matching the
     * paper's order-by semantics (§4.8: "an error is thrown if there is a
-    * string and a number"). */
+    * string and a number"). Two integers compare exactly as `Long`s. */
   def compareAtomics(a: Item, b: Item): Int = (a, b) match {
     case (NullItem, NullItem)                 => 0
     case (NullItem, _)                        => -1
     case (_, NullItem)                        => 1
     case (BooleanItem(x), BooleanItem(y))     => java.lang.Boolean.compare(x, y)
+    case (IntItem(x), IntItem(y))             => java.lang.Long.compare(x, y)
     case (x, y) if x.isNumeric && y.isNumeric =>
       java.lang.Double.compare(x.numericDouble, y.numericDouble)
     case (StringItem(x), StringItem(y))       => x.compareTo(y)
@@ -168,9 +169,11 @@ object Item {
   }
 
   /** Atomic equality for value comparisons and grouping: null equals only
-    * null; numbers compare across numeric types; otherwise type + value. */
+    * null; two integers compare exactly, other numbers as doubles across
+    * numeric types; otherwise type + value. */
   def atomicEquals(a: Item, b: Item): Boolean = (a, b) match {
     case (NullItem, NullItem)                 => true
+    case (IntItem(x), IntItem(y))             => x == y
     case (x, y) if x.isNumeric && y.isNumeric => x.numericDouble == y.numericDouble
     case (StringItem(x), StringItem(y))       => x == y
     case (BooleanItem(x), BooleanItem(y))     => x == y
@@ -179,29 +182,31 @@ object Item {
 
   /** The paper's group-by type-rank encoding (§4.7): 1 empty sequence,
     * 2 null, 3 true, 4 false, 5 string, 6 number (7 = empty-greatest). */
-  def groupTypeRank(seq: Seq[Item], emptyGreatest: Boolean = false): Int = seq match {
-    case Seq()                => if (emptyGreatest) 7 else 1
-    case Seq(NullItem)        => 2
-    case Seq(BooleanItem(b))  => if (b) 3 else 4
-    case Seq(s) if s.isString => 5
-    case Seq(n) if n.isNumeric => 6
-    case Seq(other) =>
-      throw new RumbleException("XPTY0004", s"grouping key must be atomic, got $other")
-    case _ =>
+  def groupTypeRank(seq: Seq[Item], emptyGreatest: Boolean = false): Int =
+    if (seq.isEmpty) { if (emptyGreatest) 7 else 1 }
+    else if (seq.lengthCompare(1) > 0)
       throw new RumbleException("XPTY0004", "grouping key must be a singleton or empty")
-  }
+    else seq.head match {
+      case NullItem             => 2
+      case BooleanItem(b)       => if (b) 3 else 4
+      case s if s.isString      => 5
+      case n if n.isNumeric     => 6
+      case other =>
+        throw new RumbleException("XPTY0004", s"grouping key must be atomic, got $other")
+    }
 
   /** Order-by rank: empty least/greatest at the extremes, null, then
     * false < true, then the single compatible value type. */
-  def orderTypeRank(seq: Seq[Item], emptyGreatest: Boolean): Int = seq match {
-    case Seq()                 => if (emptyGreatest) 9 else 0
-    case Seq(NullItem)         => 1
-    case Seq(BooleanItem(b))   => if (b) 3 else 2
-    case Seq(s) if s.isString  => 4
-    case Seq(n) if n.isNumeric => 5
-    case Seq(other) =>
-      throw new RumbleException("XPTY0004", s"sort key must be atomic, got $other")
-    case _ =>
+  def orderTypeRank(seq: Seq[Item], emptyGreatest: Boolean): Int =
+    if (seq.isEmpty) { if (emptyGreatest) 9 else 0 }
+    else if (seq.lengthCompare(1) > 0)
       throw new RumbleException("XPTY0004", "sort key must be a singleton or empty")
-  }
+    else seq.head match {
+      case NullItem         => 1
+      case BooleanItem(b)   => if (b) 3 else 2
+      case s if s.isString  => 4
+      case n if n.isNumeric => 5
+      case other =>
+        throw new RumbleException("XPTY0004", s"sort key must be atomic, got $other")
+    }
 }

@@ -112,7 +112,9 @@ object Builtins {
     "exists"          -> unary((a, ctx) => Iterator.single(BooleanItem(nonEmpty(a.head, ctx)))),
     "distinct-values" -> unary(distinctValues),
     // sequences
-    "head"        -> unary((a, ctx) => a.head.localIterator(ctx).take(1)),
+    "head"        -> unary((a, ctx) =>
+      if (a.head.isRDD(ctx)) a.head.getRDD(ctx).take(1).iterator
+      else a.head.localIterator(ctx).take(1)),
     "tail"        -> unary((a, ctx) => a.head.localIterator(ctx).drop(1)),
     "subsequence" -> fn(2, 3)(subsequence),
     // objects and arrays

@@ -9,7 +9,7 @@ import repro.core.model._
   *
   *  - '''local API''' (§5.5): `localIterator(ctx)` streams the result. If
   *    the iterator is RDD-capable in the given context, it transparently
-  *    *materializes* the RDD (streamed via `toLocalIterator`, warning past
+  *    *materializes* the RDD (collected in one job, warning past
   *    the configured cap). An iterator holds no evaluation state, so one
   *    compiled tree can be evaluated any number of times.
   *  - '''RDD API''' (§5.6): `isRDD(ctx)` / `getRDD(ctx)` return the sequence
@@ -75,20 +75,15 @@ abstract class RuntimeIterator extends Serializable {
 }
 
 object RddUtils {
-  /** Stream an RDD's items to the driver, warning once past the cap
-    * (paper §5.5: "a warning is issued if the RDD has more items"). */
+  /** Collect an RDD's items to the driver in one Spark job, warning past
+    * the cap (paper §5.5: "a warning is issued if the RDD has more
+    * items"). */
   def collectWithCap(rdd: RDD[Item], conf: RumbleConf): Iterator[Item] = {
-    var count  = 0L
-    var warned = false
-    rdd.toLocalIterator.map { item =>
-      count += 1
-      if (count > conf.materializationCap && !warned) {
-        warned = true
-        Console.err.println(
-          s"[rumble] warning: materializing more than " +
-          s"${conf.materializationCap} items through the local API")
-      }
-      item
-    }
+    val items = rdd.collect()
+    if (items.length > conf.materializationCap)
+      Console.err.println(
+        s"[rumble] warning: materializing more than " +
+        s"${conf.materializationCap} items through the local API")
+    items.iterator
   }
 }

@@ -2,7 +2,7 @@ package repro.core.runtime.flwor
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, collect_list, collect_set, first, sum}
+import org.apache.spark.sql.functions.{col, collect_list, first, sum}
 import org.apache.spark.sql.types._
 import repro.core.model._
 import repro.core.runtime._
@@ -102,11 +102,11 @@ object KeyEncoder {
   def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String, Double) =
     encode(Item.orderTypeRank(seq, emptyGreatest), seq)
 
-  private def encode(rank: Int, seq: List[Item]): (Int, String, Double) = seq match {
-    case List(s) if s.isString  => (rank, s.stringValue, 0.0)
-    case List(n) if n.isNumeric => (rank, "", n.numericDouble)
-    case _                      => (rank, "", 0.0)
-  }
+  private def encode(rank: Int, seq: List[Item]): (Int, String, Double) =
+    if (seq.isEmpty || seq.tail.nonEmpty) (rank, "", 0.0)
+    else if (seq.head.isString) (rank, seq.head.stringValue, 0.0)
+    else if (seq.head.isNumeric) (rank, "", seq.head.numericDouble)
+    else (rank, "", 0.0)
 
   /** The DataFrame fields of key `name`: `name_r`, `name_s`, `name_n`. */
   def fields(name: String): Seq[StructField] = Seq(
@@ -138,11 +138,61 @@ object GroupAggMode extends Enumeration {
   val Materialize, CountOnly, Drop = Value
 }
 
-/** `group by $k, ...` (paper §4.7). On Spark each live tuple becomes one row
-  * of native columns: per key variable its (type, string, number) encoding
-  * and its cell; per CountOnly variable its sequence length; per
-  * Materialize variable its cell. The rows are grouped on the encoded key
-  * columns; key variables keep their first (all equal) cell, lengths are
+/** The group-by fold (paper §4.7) over live tuples, shared by the local
+  * group-by and each Spark partition. Per encoded key it keeps the first
+  * tuple (whose key cells all tuples of the group share), the summed
+  * lengths of the CountOnly variables and the concatenated items of the
+  * Materialize variables, in stream order. `entries` counts the groups
+  * plus the buffered items, which bounds what the fold holds. */
+private final class GroupFold(keys: List[String], counted: Vector[String], kept: Vector[String]) {
+  import scala.collection.mutable
+
+  final class Group(val first: FlworTuple) {
+    val counts: Array[Long]                   = new Array[Long](counted.size)
+    val items: Array[mutable.ListBuffer[Item]] = Array.fill(kept.size)(mutable.ListBuffer.empty[Item])
+  }
+
+  private var groups = mutable.LinkedHashMap.empty[Any, Group]
+  var entries: Long  = 0L
+
+  def add(t: FlworTuple): Unit = {
+    val b = t.bindings
+    // one key is the common case: hash its code, not a one-element list
+    val key = keys match {
+      case k :: Nil => KeyEncoder.encodeGroup(b.getOrElse(k, Nil))
+      case _        => keys.map(k => KeyEncoder.encodeGroup(b.getOrElse(k, Nil)))
+    }
+    val g = groups.getOrElseUpdate(key, { entries += 1; new Group(t) })
+    var i = 0
+    while (i < counted.size) { g.counts(i) += b.getOrElse(counted(i), Nil).size; i += 1 }
+    i = 0
+    while (i < kept.size) {
+      val seq = b.getOrElse(kept(i), Nil)
+      g.items(i) ++= seq
+      entries += seq.size
+      i += 1
+    }
+  }
+
+  /** The groups folded so far, in first-seen order; the fold starts empty. */
+  def drain(): Iterator[Group] = {
+    val out = groups
+    groups = mutable.LinkedHashMap.empty
+    entries = 0L
+    out.valuesIterator
+  }
+}
+
+/** `group by $k, ...` (paper §4.7). Both paths fold the live tuples with
+  * [[GroupFold]]. Locally the fold runs over the whole stream and its
+  * groups are the result. On Spark each partition folds its tuples into
+  * partial groups (starting a new fold whenever it holds [[FlushBound]]
+  * entries, so task memory does not grow with the key cardinality) and
+  * emits one row per partial group: per key variable its (type, string,
+  * number) encoding and its cell; per CountOnly variable its summed
+  * length; per Materialize variable the cell of its concatenated items.
+  * The paper's GROUP BY then merges the partial rows on the encoded key
+  * columns: key variables keep their first (all equal) cell, lengths are
   * summed (COUNT in the paper) and materialized cells are collected and
   * concatenated (`SEQUENCE()` in the paper); Drop variables are not
   * written at all, per [[GroupAggMode]].
@@ -164,25 +214,36 @@ final class GroupByClauseIterator(
 
   def parent: Option[ClauseIterator] = Some(input)
 
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+  /** The GROUP BY's input: each partition's partial groups, one row each. */
+  def partialFrame(ctx: DynamicContext): DataFrame = {
     val (ks, cs, ms) = (keys, counted, kept)
-    val rows = input.tupleRdd(ctx).map { t =>
-      val b = t.bindings
-      Row.fromSeq(
-        ks.flatMap { k =>
-          val seq       = b.getOrElse(k, Nil)
-          val (r, s, n) = KeyEncoder.encodeGroup(seq)
-          Seq(r, s, n, ItemSerde.serializeSeq(seq))
-        } ++ cs.map(v => b.getOrElse(v, Nil).size.toLong) ++
-          ms.map(v => ItemSerde.serializeSeq(b.getOrElse(v, Nil))))
+    val rows = input.tupleRdd(ctx).mapPartitions { ts =>
+      val fold = new GroupFold(ks, cs, ms)
+      val groups = ts.flatMap { t =>
+        fold.add(t)
+        if (fold.entries >= GroupByClauseIterator.FlushBound) fold.drain() else Iterator.empty
+      } ++ fold.drain()
+      groups.map { g =>
+        Row.fromSeq(
+          ks.flatMap { k =>
+            val seq       = g.first.bindings.getOrElse(k, Nil)
+            val (r, s, n) = KeyEncoder.encodeGroup(seq)
+            Seq(r, s, n, ItemSerde.serializeSeq(seq))
+          } ++ g.counts ++ g.items.map(b => ItemSerde.serializeSeq(b.toList)))
+      }
     }
     val schema = StructType(
       ks.indices.flatMap(i => KeyEncoder.fields(s"k$i") :+ StructField(s"c$i", BinaryType)) ++
         cs.indices.map(i => StructField(s"n$i", LongType)) ++
         ms.indices.map(i => StructField(s"m$i", BinaryType)))
+    SparkSession.active.createDataFrame(rows, schema)
+  }
+
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+    val (ks, cs, ms) = (keys, counted, kept)
     val aggs: Seq[Column] = ks.indices.map(i => first(s"c$i")) ++
       cs.indices.map(i => sum(s"n$i")) ++ ms.indices.map(i => collect_list(s"m$i"))
-    val grouped = SparkSession.active.createDataFrame(rows, schema)
+    val grouped = partialFrame(ctx)
       .groupBy(ks.indices.flatMap(i => KeyEncoder.fields(s"k$i").map(f => col(f.name))): _*)
       .agg(aggs.head, aggs.tail: _*)
     val at = 3 * ks.size
@@ -198,35 +259,27 @@ final class GroupByClauseIterator(
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
-    val groups = scala.collection.mutable.LinkedHashMap
-      .empty[Vector[(Int, String, Double)],
-             (FlworTuple, Array[scala.collection.mutable.ListBuffer[Item]], Array[Long])]
-    var n = 0L
+    val fold = new GroupFold(keys, counted, kept)
+    var n    = 0L
     input.tupleIterator(ctx).foreach { t =>
       n += 1
       HeapModel.check(ctx.conf.heapModelCap, n)
-      val key = keys.map(k => KeyEncoder.encodeGroup(t.bindings.getOrElse(k, Nil))).toVector
-      groups.get(key) match {
-        case None =>
-          val bufs = kept.map { v =>
-            val b = scala.collection.mutable.ListBuffer.empty[Item]
-            b ++= t.bindings.getOrElse(v, Nil)
-            b
-          }.toArray
-          val cnts = counted.map(v => t.bindings.getOrElse(v, Nil).size.toLong).toArray
-          groups(key) = (t, bufs, cnts)
-        case Some((_, bufs, cnts)) =>
-          kept.indices.foreach(i => bufs(i) ++= t.bindings.getOrElse(kept(i), Nil))
-          counted.indices.foreach(i => cnts(i) += t.bindings.getOrElse(counted(i), Nil).size)
-      }
+      fold.add(t)
     }
-    groups.valuesIterator.map { case (firstTuple, bufs, cnts) =>
-      val kb = keys.map(k => k -> firstTuple.bindings.getOrElse(k, Nil))
-      val vb = kept.indices.map(i => kept(i) -> bufs(i).toList)
-      val cb = counted.indices.map(i => (counted(i) + "#count") -> List[Item](IntItem(cnts(i))))
+    fold.drain().map { g =>
+      val kb = keys.map(k => k -> g.first.bindings.getOrElse(k, Nil))
+      val vb = kept.indices.map(i => kept(i) -> g.items(i).toList)
+      val cb = counted.indices.map(i => (counted(i) + "#count") -> List[Item](IntItem(g.counts(i))))
       FlworTuple((kb ++ vb ++ cb).toMap)
     }
   }
+}
+
+object GroupByClauseIterator {
+  /** The entries (groups plus buffered items) a partition's fold holds
+    * before it emits its partial groups and starts again. The GROUP BY
+    * merges repeated partial groups, so answers do not depend on it. */
+  val FlushBound: Long = 1L << 16
 }
 
 /** `order by` (paper §4.8). On Spark each live tuple becomes one row: per
@@ -264,8 +317,15 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
     // encoded rows — cache them so the input is not recomputed.
     val df = ctx.persistForQuery(SparkSession.active.createDataFrame(
       rows, StructType(keyFields ++ cells.structType.fields)))
-    val rankSets = df.select(specs.indices.map(i => collect_set(s"k${i}_r")): _*).head()
-    specs.indices.foreach(i => KeyEncoder.checkOrderRanks(rankSets.getSeq[Int](i), i))
+    // §4.8's type pass in one job: per partition a bitmask of the ranks
+    // each spec's keys take, OR-merged here
+    val n = specs.size
+    val masks = df.select(specs.indices.map(i => col(s"k${i}_r")): _*).rdd.mapPartitions { rows =>
+      val m = new Array[Int](n)
+      rows.foreach(r => for (i <- 0 until n) m(i) |= 1 << r.getInt(i))
+      Iterator.single(m)
+    }.collect().foldLeft(new Array[Int](n))((a, b) => a.zip(b).map { case (x, y) => x | y })
+    for (i <- 0 until n) KeyEncoder.checkOrderRanks((0 to 9).filter(r => (masks(i) >> r & 1) == 1), i)
     val order = specs.zipWithIndex.flatMap { case (spec, i) =>
       KeyEncoder.fields(s"k$i").map(f => if (spec.descending) col(f.name).desc else col(f.name).asc)
     }

@@ -2,7 +2,8 @@ package repro.core
 
 import repro.core.model._
 import repro.core.runtime.{DynamicContext, RumbleConf}
-import repro.core.runtime.flwor.{FlworIterator, FlworPath, OrderByClauseIterator}
+import repro.core.runtime.flwor.{FlworIterator, FlworPath, GroupByClauseIterator,
+  OrderByClauseIterator}
 import repro.bench.RumbleQueries
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import org.apache.spark.sql.catalyst.plans.physical.RangePartitioning
@@ -344,12 +345,59 @@ class DataFrameFlworSpec extends RumbleSpec {
     } finally ctx.releasePersisted()
   }
 
+  test("the order by's type pass (§4.8) is one Spark job") {
+    val q = "for $x in parallelize(1 to 40, 4) order by $x descending, -$x return $x"
+    val order = rumble.compile(q).asInstanceOf[FlworIterator].last
+      .asInstanceOf[OrderByClauseIterator]
+    val ctx = DynamicContext.root(RumbleConf())
+    try assert(jobsStarted(order.sortedFrame(ctx)) == 1)
+    finally ctx.releasePersisted()
+    // the type pass, the range sampling, the exchange's map stage and the
+    // one collect to the driver
+    assert(jobsStarted(assert(rumble.run(q) == (40 to 1 by -1).map(IntItem(_)).toList)) == 4)
+  }
+
   test("an order by over a one-partition RDD sorts into one partition") {
     val q = "for $x in parallelize((3, 1, 2, 5, 4), 1) order by $x descending return $x"
     checkAgainstLocal(q)
     val ctx = DynamicContext.root(RumbleConf())
     try assert(rumble.compile(q).getRDD(ctx).getNumPartitions == 1)
     finally ctx.releasePersisted()
+  }
+
+  // ---------------------------------------------- the group-by boundary
+
+  private def groupOf(q: String): GroupByClauseIterator =
+    rumble.compile(q).asInstanceOf[FlworIterator].last.asInstanceOf[GroupByClauseIterator]
+
+  /** Per partition of the GROUP BY's input: (rows, distinct encoded keys). */
+  private def partialRows(q: String): Seq[(Int, Int)] = {
+    val frame = groupOf(q).partialFrame(DynamicContext.root(RumbleConf()))
+    frame.rdd.mapPartitions { rows =>
+      val keys = rows.map(r => (r.getInt(0), r.getString(1), r.getDouble(2))).toVector
+      Iterator.single((keys.size, keys.distinct.size))
+    }.collect().toSeq
+  }
+
+  test("group by pre-aggregates: one GROUP BY input row per partition and key") {
+    val q = "for $x in parallelize(1 to 400, 8) group by $k := $x mod 5 return count($x)"
+    val parts = partialRows(q)
+    assert(parts.size == 8)
+    // each partition holds 50 consecutive numbers, so all 5 keys
+    assert(parts.forall(_ == ((5, 5))), parts)
+    checkAgainstLocal(q, ordered = false)
+  }
+
+  test("a partition's fold emits its partial groups once it holds the bound") {
+    val bound = GroupByClauseIterator.FlushBound.toInt
+    // one partition, bound + 464 distinct keys: the fold fills with the
+    // first `bound` keys, emits them, then folds the remaining 4464 tuples,
+    // whose keys are distinct again
+    val q = s"""for $$x in parallelize(1 to ${bound + 4464}, 1)
+               |group by $$k := $$x mod ${bound + 464} return count($$x)""".stripMargin
+    assert(partialRows(q) == Seq((bound + 4464, bound + 464)))
+    assert(rumble.run(q).map(_.numericDouble.toLong).sorted ==
+      (List.fill(bound + 464 - 4000)(1L) ++ List.fill(4000)(2L)))
   }
 
   // ------------------------------- JSONiq errors raised inside Spark tasks

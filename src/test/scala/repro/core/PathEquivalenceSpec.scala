@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.runtime.flwor.GroupByClauseIterator
 import repro.datasets.HeterogeneousData
 
 /** One answer per query: FLWOR shapes that mix narrow clauses with the
@@ -18,6 +19,8 @@ class PathEquivalenceSpec extends RumbleSpec {
   // country: string | array of strings | null | absent
   private lazy val fig7 = tempJsonFile("fig7-paths",
     (0 until 80).map(i => HeterogeneousData.fig7Line(i.toLong, 11L)))
+
+  private val bound = GroupByClauseIterator.FlushBound
 
   /** (shape, query, whether the result order is defined). */
   private def shapes: Seq[(String, String, Boolean)] = Seq(
@@ -82,6 +85,28 @@ class PathEquivalenceSpec extends RumbleSpec {
         |group by $$k := $$c
         |order by $$k empty greatest
         |return {"k": $$k, "n": count($$o), "v": sum($$o.value)}""".stripMargin, true),
+    // group by: each partition folds its tuples into partial groups that
+    // the GROUP BY merges
+    ("group by a key whose tuples span several partitions",
+     """for $x in parallelize(1 to 40, 8) group by $k := $x mod 3 order by $k
+       |return {"k": $k, "n": count($x)}""".stripMargin, true),
+    ("CountOnly, Materialize and Drop in one group by over 8 partitions",
+     """for $x in parallelize(1 to 40, 8) let $y := $x * 2 let $z := $x + 1
+       |group by $k := $x mod 4 order by $k
+       |return {"k": $k, "n": count($x), "y": [for $v in $y order by $v return $v]}""".stripMargin,
+     true),
+    ("group by two keys over 8 partitions",
+     """for $x in parallelize(1 to 40, 8) group by $a := $x mod 2, $b := $x mod 3
+       |order by $a, $b return {"a": $a, "b": $b, "n": count($x)}""".stripMargin, true),
+    ("let before group by over 8 partitions",
+     """for $x in parallelize(1 to 40, 8) let $k := $x mod 5 let $s := $x * $x
+       |group by $k order by $k return {"k": $k, "s": sum($s)}""".stripMargin, true),
+    ("group by an empty-sequence and a null key",
+     """for $o in parallelize(({"a": 1}, {"a": null}, {}, {"a": 1}, {"a": null}, {}, {}), 3)
+       |group by $k := $o.a order by $k return {"k": [$k], "n": count($o)}""".stripMargin, true),
+    ("group by more distinct keys in one partition than a partition's fold holds",
+     s"""for $$x in parallelize(1 to ${bound + 4464}, 1) group by $$k := $$x mod ${bound + 464}
+        |return {"k": $$k, "n": count($$x)}""".stripMargin, false),
     // errors: the same code on both paths
     ("HeterogeneousData: mixed boolean/string order key is XPTY0004",
      s"""for $$o in json-file("$fig5") order by $$o.foobar return $$o.foo""", true),

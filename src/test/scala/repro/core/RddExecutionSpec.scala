@@ -87,6 +87,29 @@ class RddExecutionSpec extends RumbleSpec {
       }
   }
 
+  test("integers above 2^53 compare exactly, locally and on Spark") {
+    // 9007199254740992 = 2^53, where doubles stop telling integers apart
+    Seq("9007199254740993 eq 9007199254740992"                         -> "false",
+        "9007199254740993 ne 9007199254740992"                         -> "true",
+        "9007199254740992 lt 9007199254740993"                         -> "true",
+        "9007199254740993 gt 9007199254740992"                         -> "true",
+        "min(parallelize((9007199254740993, 9007199254740992), 2))"    -> "9007199254740992",
+        "max(parallelize((9007199254740992, 9007199254740993), 2))"    -> "9007199254740993",
+        """for $x in parallelize((9007199254740993, 9007199254740992, 9007199254740993), 3)
+          |where $x lt 9007199254740993 return $x""".stripMargin       -> "9007199254740992",
+        """for $x in parallelize((9007199254740993, 9007199254740992), 2)
+          |where $x eq 9007199254740992 return $x""".stripMargin       -> "9007199254740992")
+      .foreach { case (q, expected) =>
+        assert(evalLocal(q) == expected, q)
+        assert(evalSpark(q) == expected, q)
+      }
+  }
+
+  test("head as a Spark action") {
+    assert(evalSpark("head(parallelize(1 to 64, 16))") == "1")
+    assert(evalSpark("head(parallelize(1 to 64, 16)[$$ gt 99])") == "")
+  }
+
   test("empty/exists as Spark actions") {
     assert(evalSpark("empty(parallelize(1 to 3))") == "false")
     assert(evalSpark("exists(parallelize(1 to 3))") == "true")

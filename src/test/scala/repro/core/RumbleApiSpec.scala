@@ -112,6 +112,16 @@ class RumbleApiSpec extends RumbleSpec {
     assert(r.run("parallelize(1 to 100)").size == 100)
   }
 
+  test("run pulls a 16-partition RDD result to the driver in one job") {
+    assert(jobsStarted(assert(rumble.run("parallelize(1 to 64, 16)").size == 64)) == 1)
+    assert(jobsStarted(assert(rumble.runIterator("parallelize(1 to 64, 16)").size == 64)) == 1)
+    // distinct-values over a 16-partition reduceByKey: its shuffle map
+    // stage and the collect run as one job
+    assert(jobsStarted(assert(
+      rumble.run("distinct-values(parallelize(for $i in 1 to 64 return $i mod 5, 16))")
+        .toSet == (0 to 4).map(IntItem(_)).toSet)) == 1)
+  }
+
   test("heap model cap flows through the conf") {
     val r = new Rumble(spark, repro.core.runtime.RumbleConf(
       forceLocal = true, heapModelCap = Some(5)))

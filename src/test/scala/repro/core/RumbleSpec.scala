@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.core.json.JsonWriter
 import repro.core.model._
@@ -45,6 +47,19 @@ trait RumbleSpec extends SparkSpec {
     val local   = outcome(rumbleLocal, query)
     if (ordered) assert(onSpark == local, query)
     else assert(onSpark.map(_.sorted) == local.map(_.sorted), query)
+  }
+
+  /** The number of Spark jobs `f` starts. */
+  def jobsStarted(f: => Any): Int = {
+    val sc   = spark.sparkContext
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val l = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(l)
+    try { f; ListenerBusDrain(sc); jobs.get }
+    finally sc.removeSparkListener(l)
   }
 
   def expectError(query: String, codePrefix: String)(run: String => Any): Unit = {

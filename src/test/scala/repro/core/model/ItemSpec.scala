@@ -100,6 +100,16 @@ class ItemSpec extends AnyFunSuite {
     assert(!Item.atomicEquals(NullItem, IntItem(0)))
   }
 
+  test("two integers compare exactly, not through doubles") {
+    val (big, bigPlus1) = (IntItem(9007199254740992L), IntItem(9007199254740993L))
+    assert(!Item.atomicEquals(bigPlus1, big))
+    assert(Item.compareAtomics(big, bigPlus1) < 0)
+    assert(Item.compareAtomics(bigPlus1, big) > 0)
+    assert(Item.compareAtomics(IntItem(Long.MinValue), IntItem(Long.MaxValue)) < 0)
+    // an integer against a double still compares numerically
+    assert(Item.atomicEquals(big, DoubleItem(9007199254740992.0)))
+  }
+
   test("groupTypeRank follows the paper's encoding (§4.7)") {
     assert(Item.groupTypeRank(Nil) == 1)
     assert(Item.groupTypeRank(Nil, emptyGreatest = true) == 7)
