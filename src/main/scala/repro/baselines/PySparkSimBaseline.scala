@@ -32,6 +32,9 @@ object PySparkSimBaseline {
     x
   }
 
+  /** Lines are decoded to strings before they are parsed, as Python
+    * decodes each line before `json.loads`; unlike the engine's
+    * byte-level `JsonParser.readLines`. */
   private def objects(spark: SparkSession, path: String) =
     spark.sparkContext.textFile(path)
       .mapPartitions(_.filter(_.trim.nonEmpty).map(JsonParser.parseLine))

@@ -11,9 +11,9 @@ import repro.core.model._
   */
 object RawSparkBaseline {
 
+  /** The input read and parsed exactly as the engine's `json-file` does. */
   private def objects(spark: SparkSession, path: String) =
-    spark.sparkContext.textFile(path)
-      .mapPartitions(_.filter(_.trim.nonEmpty).map(JsonParser.parseLine))
+    JsonParser.readLines(spark.sparkContext, path, spark.sparkContext.defaultMinPartitions)
 
   /** Fig. 2-style filter: guess = target; returns the number of matches. */
   def filterQuery(spark: SparkSession, path: String): Long =

@@ -1,5 +1,7 @@
 package repro.core.parser
 
+import java.nio.charset.StandardCharsets.UTF_8
+import repro.core.json.JsonParser
 import repro.core.model._
 
 /** Tokens produced by the hand-written JSONiq lexer (ANTLR stand-in, §5.2).
@@ -60,11 +62,17 @@ object Lexer {
           pos += 1
         out += TName(query.substring(start, pos))
       } else if (c == '"') {
-        // string literal with JSON escapes — reuse the JSON string scanner
-        val p = new repro.core.json.JsonParser(query.substring(pos))
-        val v = p.parseValue()
+        // string literal with JSON escapes — reuse the JSON string scanner,
+        // which counts UTF-8 bytes: the literal's length in chars is that of
+        // the bytes it consumed, decoded
+        val bytes = query.substring(pos).getBytes(UTF_8)
+        val p     = new JsonParser(bytes, 0, bytes.length)
+        val v =
+          try p.parseValue()
+          catch { case e: JsonParser.Invalid =>
+            throw new StaticException("XPST0003", s"bad string literal at $pos: ${e.detail}") }
         out += TString(v.stringValue)
-        pos += p.pos
+        pos += new String(bytes, 0, p.pos, UTF_8).length
       } else if (c.isDigit) {
         val start = pos
         while (pos < len && query.charAt(pos).isDigit) pos += 1

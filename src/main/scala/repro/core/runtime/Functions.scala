@@ -8,10 +8,12 @@ import repro.core.json.JsonParser
 import repro.core.model._
 
 /** `json-file(path[, partitions])` (paper §5.7): reads a JSON-Lines file as
-  * a sequence of items. On the RDD path it is `textFile` + `mapPartitions`
-  * with the streaming JSON parser, in `partitions` partitions or else
-  * Spark's default parallelism; on the local path (forced-local engines,
-  * closures) it streams the file line by line without Spark.
+  * a sequence of items. On the RDD path it is `JsonParser.readLines`, which
+  * parses each Hadoop `Text` record from its bytes, in `partitions`
+  * partitions or else Spark's default parallelism; on the local path
+  * (forced-local engines, closures) it streams the file line by line
+  * without Spark. A line that is not JSON raises JNDY0021 naming the file
+  * and the line (its byte offset on Spark, its number locally).
   */
 final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[RuntimeIterator])
     extends RuntimeIterator {
@@ -27,13 +29,11 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
 
   override def getRDD(ctx: DynamicContext): RDD[Item] = {
     val sc = SparkSession.active.sparkContext
-    val p  = path(ctx)
     val parts = partitions
       .flatMap(_.materializeAtMostOne(ctx))
       .map(_.numericDouble.toInt)
       .getOrElse(sc.defaultParallelism)
-    sc.textFile(p, parts)
-      .mapPartitions(_.filter(_.trim.nonEmpty).map(JsonParser.parseLine))
+    JsonParser.readLines(sc, path(ctx), parts)
   }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] = {
@@ -43,8 +43,11 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
         f.listFiles().filter(x => x.isFile && x.getName.startsWith("part-")).sortBy(_.getName).toSeq
       else Seq(f)
     files.iterator.flatMap { file =>
-      scala.io.Source.fromFile(file, "UTF-8").getLines()
-        .filter(_.trim.nonEmpty).map(JsonParser.parseLine)
+      scala.io.Source.fromFile(file, "UTF-8").getLines().zipWithIndex.collect {
+        case (line, i) if line.trim.nonEmpty =>
+          try JsonParser.parseLine(line)
+          catch { case e: JsonParser.Invalid => throw e.at(s"json-file $file, line ${i + 1}") }
+      }
     }
   }
 }

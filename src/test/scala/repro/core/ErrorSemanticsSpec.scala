@@ -112,6 +112,36 @@ class ErrorSemanticsSpec extends RumbleSpec {
     expectError("size(3)", "XPTY0004")(rumbleLocal.run)
   }
 
+  private val goodLine = """{"a": 1}"""
+
+  /** Every way to run a query over `path` raises JNDY0021: `run` and
+    * `runCount`, on Spark and under `forceLocal`, for the bare read, a
+    * navigation and a FLWOR. Returns the messages on Spark and locally. */
+  private def invalidJson(path: String): (String, String) = {
+    val queries = Seq(s"""json-file("$path")""", s"""json-file("$path").a""",
+      s"""for $$o in json-file("$path") where $$o.a eq 1 return $$o""")
+    for (q <- queries; r <- Seq(rumble, rumbleLocal)) {
+      expectError(q, "JNDY0021")(r.run)
+      expectError(q, "JNDY0021")(r.runCount)
+    }
+    (intercept[RumbleException](rumble.runCount(queries.head)).getMessage,
+     intercept[RumbleException](rumbleLocal.runCount(queries.head)).getMessage)
+  }
+
+  test("an invalid json-file line raises JNDY0021 naming the file and the line") {
+    val path = tempJsonFile("bad-json", Seq(goodLine, "", goodLine + "x", goodLine))
+    val (onSpark, local) = invalidJson(path)
+    assert(onSpark.contains(path) && onSpark.contains("byte offset 10"), onSpark)
+    assert(local.contains(path) && local.contains("line 3"), local)
+  }
+
+  test("a line of only non-ASCII characters is not blank: it raises JNDY0021") {
+    val path = tempJsonFile("non-ascii-line", Seq(goodLine, "é€", goodLine))
+    val (onSpark, local) = invalidJson(path)
+    assert(onSpark.contains("byte offset 9"), onSpark)
+    assert(local.contains("line 2"), local)
+  }
+
   test("json-file on a missing local file errors") {
     assertThrows[Exception](rumbleLocal.run("json-file(\"/nonexistent/file.json\")"))
   }

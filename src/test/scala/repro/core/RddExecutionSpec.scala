@@ -143,6 +143,20 @@ class RddExecutionSpec extends RumbleSpec {
     assert(it.getRDD(c).count() == 20)
   }
 
+  test("json-file: CRLF, blank and whitespace-only lines and non-ASCII values read alike on Spark and locally") {
+    val f = java.io.File.createTempFile("rdd-json-crlf", ".json")
+    f.deleteOnExit()
+    val text = "{\"s\": \"é€😀\", \"n\": 1}\r\n" + "\r\n" + "  \t \u000b\u0001\r\n" + "\n" +
+      "[\"ü\", \"a\\u00e9\\n\"]\r\n" + "\"日本語\"\n" + "   {\"n\": 2}   \r\n" + "{\"n\": 3}"
+    java.nio.file.Files.write(f.toPath, text.getBytes("UTF-8"))
+    for (parts <- Seq(1, 3)) {
+      val q = s"""json-file("${f.getAbsolutePath}", $parts)"""
+      checkAgainstLocal(q)
+      assert(evalSpark(q) ==
+        """{"s" : "é€😀", "n" : 1}, ["ü", "aé\n"], "日本語", {"n" : 2}, {"n" : 3}""")
+    }
+  }
+
   test("local API over an RDD-backed expression collects seamlessly (§5.5)") {
     // run() uses the local API; the RDD is collected behind the scenes
     assert(rumble.run("parallelize((\"a\", \"b\"))") ==

@@ -36,6 +36,20 @@ class ParserSpec extends AnyFunSuite {
     assert(Lexer.tokenize("\"a\\nb\"") == Vector(TString("a\nb"), TEOF))
   }
 
+  test("a string literal's length is counted in chars, not UTF-8 bytes") {
+    assert(Lexer.tokenize("\"é€😀\" || \"x\"") ==
+      Vector(TString("é€😀"), TPunct("||"), TString("x"), TEOF))
+    assert(Lexer.tokenize("[\"a\\u00e9é\", 1]") ==
+      Vector(TPunct("["), TString("aéé"), TPunct(","), TNumber(IntItem(1)), TPunct("]"), TEOF))
+  }
+
+  test("a bad string literal is a static error (XPST0003)") {
+    Seq("\"unterminated", "\"bad \\q escape\"", "\"\\u12\"").foreach { q =>
+      val e = intercept[StaticException](Lexer.tokenize(q))
+      assert(e.code == "XPST0003", q)
+    }
+  }
+
   test("lexes two-char punctuation greedily") {
     assert(Lexer.tokenize("[[ ]] || != <= >= :=").collect { case TPunct(p) => p } ==
       Seq("[[", "]]", "||", "!=", "<=", ">="  , ":="))
