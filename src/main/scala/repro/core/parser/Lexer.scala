@@ -32,6 +32,7 @@ object Lexer {
 
     def isNameStart(c: Char) = c.isLetter || c == '_'
     def isNameChar(c: Char)  = c.isLetterOrDigit || c == '_'
+    def isDigitAt(p: Int)    = p < len && query.charAt(p) >= '0' && query.charAt(p) <= '9'
 
     while (pos < len) {
       val c = query.charAt(pos)
@@ -73,26 +74,29 @@ object Lexer {
             throw new StaticException("XPST0003", s"bad string literal at $pos: ${e.detail}") }
         out += TString(v.stringValue)
         pos += new String(bytes, 0, p.pos, UTF_8).length
-      } else if (c.isDigit) {
+      } else if (isDigitAt(pos)) {
+        // 1 is an integer (a decimal past the range of a Long, as in JSON
+        // input), 1.5 a decimal, 1.5e0 a double; `.` needs a digit after it
         val start = pos
-        while (pos < len && query.charAt(pos).isDigit) pos += 1
+        while (isDigitAt(pos)) pos += 1
         var isIntegral = true
         var isDouble   = false
-        if (pos < len && query.charAt(pos) == '.' &&
-            pos + 1 < len && query.charAt(pos + 1).isDigit) {
+        if (pos < len && query.charAt(pos) == '.' && isDigitAt(pos + 1)) {
           isIntegral = false
           pos += 1
-          while (pos < len && query.charAt(pos).isDigit) pos += 1
+          while (isDigitAt(pos)) pos += 1
         }
         if (pos < len && (query.charAt(pos) == 'e' || query.charAt(pos) == 'E')) {
           isIntegral = false; isDouble = true
           pos += 1
           if (pos < len && (query.charAt(pos) == '+' || query.charAt(pos) == '-')) pos += 1
-          while (pos < len && query.charAt(pos).isDigit) pos += 1
+          if (!isDigitAt(pos))
+            throw new StaticException("XPST0003", s"exponent without digits at $start")
+          while (isDigitAt(pos)) pos += 1
         }
         val text = query.substring(start, pos)
         out += TNumber(
-          if (isIntegral) IntItem(text.toLong)
+          if (isIntegral) text.toLongOption.fold[Item](DecimalItem(BigDecimal(text)))(IntItem(_))
           else if (isDouble) DoubleItem(text.toDouble)
           else DecimalItem(BigDecimal(text)))
       } else {

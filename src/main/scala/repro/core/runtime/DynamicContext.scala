@@ -48,9 +48,6 @@ final class DynamicContext(
     lookup(name).getOrElse(
       throw new RumbleException("XPDY0002", s"variable $$$name not bound at runtime"))
 
-  def bind(name: String, seq: List[Item]): DynamicContext =
-    new DynamicContext(Some(this), Map(name -> seq), contextItem, insideClosure, conf)
-
   def bindAll(m: Map[String, List[Item]]): DynamicContext =
     if (m.isEmpty) this
     else new DynamicContext(Some(this), m, contextItem, insideClosure, conf)

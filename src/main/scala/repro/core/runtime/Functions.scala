@@ -145,7 +145,10 @@ object Builtins {
     "abs"      -> unary(abs),
     "round"    -> fn(1, 2)(round),
     // strings
-    "string-length" -> unary((a, ctx) => Iterator.single(IntItem(str(a.head, ctx).length.toLong))),
+    "string-length" -> unary { (a, ctx) =>
+      val s = str(a.head, ctx)
+      Iterator.single(IntItem(s.codePointCount(0, s.length).toLong))
+    },
     "substring"     -> fn(2, 3)(substring),
     "lower-case"    -> unary((a, ctx) => Iterator.single(StringItem(str(a.head, ctx).toLowerCase))),
     "upper-case"    -> unary((a, ctx) => Iterator.single(StringItem(str(a.head, ctx).toUpperCase))),
@@ -319,8 +322,12 @@ object Builtins {
           else DoubleItem(math.round(i.numericDouble * f) / f))
     }
 
+  /** Positions count code points, not UTF-16 units (F&O §5.1). */
   private def substring(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
     val (from, until) = positions(a, ctx, emptyLength = 0)
-    Iterator.single(StringItem(str(a(0), ctx).slice(from, until)))
+    val s             = str(a(0), ctx)
+    val n             = s.codePointCount(0, s.length)
+    def offset(p: Int) = s.offsetByCodePoints(0, math.min(p, n))
+    Iterator.single(StringItem(if (from >= until) "" else s.substring(offset(from), offset(until))))
   }
 }

@@ -22,13 +22,19 @@ import repro.core.runtime._
 abstract class ClauseIterator extends Serializable {
   /** The previous clause; `None` for the first clause of the FLWOR. */
   def parent: Option[ClauseIterator]
-  def outSchema: TupleSchema
+  /** The variables this clause's tuples bind, in binding order (§4.3). */
+  def vars: Vector[String]
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple]
   def tupleRdd(ctx: DynamicContext): RDD[FlworTuple]
+
+  /** The parent's variables with `v` bound last; rebinding `v` drops the
+    * shadowed binding (paper §4.5). */
+  protected def binding(v: String): Vector[String] =
+    parent.fold(Vector.empty[String])(_.vars).filterNot(_ == v) :+ v
 }
 
-/** A clause that turns each tuple into tuples on its own (`for`, `let`,
-  * `where`): the same `step` runs on the driver's local stream and, under
+/** A clause that turns each tuple into tuples on its own (`for`, `let`):
+  * the same `step` runs on the driver's local stream and, under
   * `ctx.enterClosure`, on each partition of the parent's tuple RDD. */
 abstract class NarrowClauseIterator extends ClauseIterator {
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple]
@@ -50,10 +56,11 @@ abstract class NarrowClauseIterator extends ClauseIterator {
   * (the paper's extended projection followed by EXPLODE). */
 final class ForClauseIterator(
     val parent: Option[ClauseIterator],
-    val varName: String,
+    varName: String,
     val expr: RuntimeIterator,
-    val outSchema: TupleSchema,
 ) extends NarrowClauseIterator {
+
+  val vars: Vector[String] = binding(varName)
 
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
     expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
@@ -73,22 +80,33 @@ final class LetClauseIterator(
     val parent: Option[ClauseIterator],
     varName: String,
     expr: RuntimeIterator,
-    val outSchema: TupleSchema,
 ) extends NarrowClauseIterator {
+
+  val vars: Vector[String] = binding(varName)
 
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
     Iterator.single(t.updated(varName, expr.materialize(ctx.bindAll(t.bindings))))
 }
 
-/** `where expr` (paper §4.6): keeps the tuples whose EBV is true. */
-final class WhereClauseIterator(input: ClauseIterator, val expr: RuntimeIterator)
-    extends NarrowClauseIterator {
+/** `where expr` (paper §4.6): keeps the tuples whose EBV is true — a
+  * filter of the local stream, and of the tuple RDD under
+  * `ctx.enterClosure`. */
+final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
+    extends ClauseIterator {
 
   def parent: Option[ClauseIterator] = Some(input)
-  val outSchema: TupleSchema = input.outSchema
+  val vars: Vector[String]           = input.vars
 
-  protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
-    if (expr.effectiveBoolean(ctx.bindAll(t.bindings))) Iterator.single(t) else Iterator.empty
+  private def keeps(t: FlworTuple, ctx: DynamicContext): Boolean =
+    expr.effectiveBoolean(ctx.bindAll(t.bindings))
+
+  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
+    input.tupleIterator(ctx).filter(keeps(_, ctx))
+
+  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+    val base = ctx.enterClosure
+    input.tupleRdd(ctx).filter(keeps(_, base))
+  }
 }
 
 /** Encodes a grouping/sorting key sequence into the paper's three native
@@ -204,13 +222,14 @@ final class GroupByClauseIterator(
     input: ClauseIterator,
     keys: List[String],
     modes: Map[String, GroupAggMode.Value],
-    val outSchema: TupleSchema,
 ) extends ClauseIterator {
 
-  private val nonKeys: Vector[String] = input.outSchema.vars.filterNot(keys.contains)
+  private val nonKeys: Vector[String] = input.vars.filterNot(keys.contains)
   private def modeOf(v: String)       = modes.getOrElse(v, GroupAggMode.Materialize)
   private val kept    = nonKeys.filter(v => modeOf(v) == GroupAggMode.Materialize)
   private val counted = nonKeys.filter(v => modeOf(v) == GroupAggMode.CountOnly)
+
+  val vars: Vector[String] = keys.toVector ++ kept ++ counted.map(_ + "#count")
 
   def parent: Option[ClauseIterator] = Some(input)
 
@@ -295,14 +314,14 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
     extends ClauseIterator {
 
   def parent: Option[ClauseIterator] = Some(input)
-  val outSchema: TupleSchema     = input.outSchema
-  private val cells: TupleSchema = outSchema.restrictedTo(kept)
+  val vars: Vector[String]           = input.vars
 
-  /** The sorted DataFrame: key columns `k<i>_r/_s/_n`, then the kept cells.
-    * It reads a cache that lives until the query's context is released. */
+  /** The sorted DataFrame: key columns `k<i>_r/_s/_n`, then the cells of
+    * `kept`, `c0`, `c1`, …. It reads a cache that lives until the query's
+    * context is released. */
   def sortedFrame(ctx: DynamicContext): DataFrame = {
     val tuples = input.tupleRdd(ctx)
-    val cs     = cells
+    val cs     = kept
     val base   = ctx.enterClosure
     val ss     = specs
     val rows = tuples.map { t =>
@@ -312,11 +331,12 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
         Seq(r, str, n)
       })
     }
-    val keyFields = specs.indices.flatMap(i => KeyEncoder.fields(s"k$i"))
+    val keyFields  = specs.indices.flatMap(i => KeyEncoder.fields(s"k$i"))
+    val cellFields = kept.indices.map(i => StructField(s"c$i", BinaryType))
     // The type-discovery pass, the range sampling and the sort all read the
     // encoded rows — cache them so the input is not recomputed.
     val df = ctx.persistForQuery(SparkSession.active.createDataFrame(
-      rows, StructType(keyFields ++ cells.structType.fields)))
+      rows, StructType(keyFields ++ cellFields)))
     // §4.8's type pass in one job: per partition a bitmask of the ranks
     // each spec's keys take, OR-merged here
     val n = specs.size
@@ -334,8 +354,9 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
   }
 
   def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
-    val cs = cells
-    sortedFrame(ctx).select(cs.cols.map(col): _*).rdd.map(TupleSchema.tupleFromRow(_, cs))
+    val cs = kept
+    sortedFrame(ctx).select(cs.indices.map(i => col(s"c$i")): _*).rdd
+      .map(TupleSchema.tupleFromRow(_, cs))
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
@@ -373,13 +394,10 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
 
 /** `count $v` (paper §4.9): the tuple RDD's `zipWithIndex`, the technique
   * the paper uses because DataFrames lack it. */
-final class CountClauseIterator(
-    input: ClauseIterator,
-    varName: String,
-    val outSchema: TupleSchema,
-) extends ClauseIterator {
+final class CountClauseIterator(input: ClauseIterator, varName: String) extends ClauseIterator {
 
   def parent: Option[ClauseIterator] = Some(input)
+  val vars: Vector[String]           = binding(varName)
 
   def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
     val v = varName
@@ -392,29 +410,26 @@ final class CountClauseIterator(
     }
 }
 
-/** How a FLWOR runs: locally through the clauses' tuple iterators; as the
-  * paper's Figure-9 RDD mapping (`for` → flatMap, `where` → filter, §5.7);
-  * as an RDD of live tuples (`Tuples`); or as that RDD encoded into the
-  * paper's DataFrame at each `group by` / `order by` (`DataFrame`,
-  * §4.7–4.8). */
+/** How a FLWOR runs: locally through the clauses' tuple iterators
+  * (`Local`); on Spark as an RDD of live tuples (`Tuples`), which for
+  * `for … where … return` is the paper's Figure-9 lineage (`for` → map,
+  * `where` → filter, `return` → flatMap, §5.7); or as
+  * that RDD encoded into the paper's DataFrame at each `group by` /
+  * `order by` (`DataFrame`, §4.7–4.8). */
 object FlworPath extends Enumeration {
-  val Local, Rdd, Tuples, DataFrame = Value
+  val Local, Tuples, DataFrame = Value
 }
 
 /** The whole FLWOR expression (clause chain + `return`, paper §4.10): an
   * *expression* iterator producing items, run on the path [[path]] picks.
-  * On `Rdd` the initial `for`'s source RDD is filtered by the `where`
-  * clauses and flat-mapped by `return`, with no tuple object ("none of the
-  * intermediate sequences of items is ever materialized"). On `Tuples` and
-  * `DataFrame`, `return` flat-maps the last clause's tuple RDD. On `Local`
-  * it consumes the clauses' tuples.
+  * On `Tuples` and `DataFrame`, `return` flat-maps the last clause's tuple
+  * RDD. On `Local` it consumes the clauses' tuples.
   *
   * @param singletonReturn the translator proved the return expression
   *        yields exactly one item per tuple (a for-bound variable, an
   *        object/array constructor, a literal); a consuming `count()` can
-  *        then count the selected items or the tuples without
-  *        materializing any item — the same aggregation-detection family
-  *        as the paper's §4.7 COUNT pushdown.
+  *        then count the tuples without materializing any item — the same
+  *        aggregation-detection family as the paper's §4.7 COUNT pushdown.
   */
 final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
                           singletonReturn: Boolean = false)
@@ -426,12 +441,10 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
 
   /** The one decision of how this FLWOR runs in `ctx`: `Local` inside a
     * closure or unless the first clause is a `for` over an RDD-capable
-    * expression; `Rdd` when that `for` is followed only by `where`
-    * clauses; `DataFrame` when a clause shuffles; `Tuples` otherwise. */
+    * expression; `DataFrame` when a clause shuffles; `Tuples` otherwise. */
   def path(ctx: DynamicContext): FlworPath.Value = clauses.head match {
     case f: ForClauseIterator if !ctx.insideClosure && f.expr.isRDD(ctx) =>
-      if (clauses.tail.forall(_.isInstanceOf[WhereClauseIterator])) FlworPath.Rdd
-      else if (clauses.exists {
+      if (clauses.exists {
         case _: GroupByClauseIterator | _: OrderByClauseIterator => true
         case _                                                   => false
       }) FlworPath.DataFrame
@@ -439,42 +452,21 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
     case _ => FlworPath.Local
   }
 
-  private def initialFor: ForClauseIterator = clauses.head.asInstanceOf[ForClauseIterator]
-
-  /** On `Rdd`: the source items that pass every `where`. */
-  private def selected(ctx: DynamicContext): RDD[Item] = {
-    val v    = initialFor.varName
-    val ws   = clauses.tail.collect { case w: WhereClauseIterator => w.expr }
-    val base = ctx.enterClosure
-    initialFor.expr.getRDD(ctx).filter { item =>
-      val c = base.bind(v, item :: Nil)
-      ws.forall(_.effectiveBoolean(c))
-    }
-  }
-
   override def isRDD(ctx: DynamicContext): Boolean = path(ctx) != FlworPath.Local
 
-  override def getRDD(ctx: DynamicContext): RDD[Item] = {
-    val base = ctx.enterClosure
-    val re   = retExpr
-    path(ctx) match {
-      case FlworPath.Rdd =>
-        val v = initialFor.varName
-        selected(ctx).flatMap(item => re.localIterator(base.bind(v, item :: Nil)))
-      case FlworPath.Local => super.getRDD(ctx)
-      case _ =>
-        last.tupleRdd(ctx).flatMap(t => re.localIterator(base.bindAll(t.bindings)))
+  override def getRDD(ctx: DynamicContext): RDD[Item] =
+    if (!isRDD(ctx)) super.getRDD(ctx)
+    else {
+      val base = ctx.enterClosure
+      val re   = retExpr
+      last.tupleRdd(ctx).flatMap(t => re.localIterator(base.bindAll(t.bindings)))
     }
-  }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     last.tupleIterator(ctx).flatMap(t => retExpr.localIterator(ctx.bindAll(t.bindings)))
 
-  /** Counts the selected items or the tuples when the return yields one
-    * item each. */
-  override def count(ctx: DynamicContext): Long = path(ctx) match {
-    case p if p == FlworPath.Local || !singletonReturn => super.count(ctx)
-    case FlworPath.Rdd                                 => selected(ctx).count()
-    case _                                             => last.tupleRdd(ctx).count()
-  }
+  /** Counts the tuples when the return yields one item each. */
+  override def count(ctx: DynamicContext): Long =
+    if (singletonReturn && isRDD(ctx)) last.tupleRdd(ctx).count()
+    else super.count(ctx)
 }

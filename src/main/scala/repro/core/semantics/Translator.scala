@@ -103,22 +103,22 @@ object Translator {
   private def translateFlwor(clauses: List[ClauseAst], ret0: ExprAst,
                              sc0: StaticContext): RuntimeIterator = {
     var chain: Option[ClauseIterator] = None
-    var schema                        = TupleSchema.empty
     var sc                            = sc0
     var remaining                     = clauses
     var ret                           = ret0
 
+    // the tuple stream's variables so far, in binding order
+    def inScope: Vector[String] = chain.fold(Vector.empty[String])(_.vars)
+
     def addFor(name: String, expr: ExprAst): Unit = {
       val e = translateExpr(expr, sc)
-      schema = schema.withVar(name)._1
-      chain = Some(new ForClauseIterator(chain, name, e, schema))
+      chain = Some(new ForClauseIterator(chain, name, e))
       sc = sc.withVar(name)
     }
 
     def addLet(name: String, expr: ExprAst): Unit = {
       val e = translateExpr(expr, sc)
-      schema = schema.withVar(name)._1
-      chain = Some(new LetClauseIterator(chain, name, e, schema))
+      chain = Some(new LetClauseIterator(chain, name, e))
       sc = sc.withVar(name)
     }
 
@@ -137,13 +137,13 @@ object Translator {
           keys.foreach {
             case (v, Some(e)) => addLet(v, e)
             case (v, None) =>
-              if (!schema.hasVar(v))
+              if (!inScope.contains(v))
                 throw new StaticException("XPST0008", s"grouping variable $$$v not in scope")
           }
           val keyNames   = keys.map(_._1)
           val downstream = remaining.flatMap(clauseExprs) :+ ret
           val reboundBelow = remaining.flatMap(clauseBoundVars).toSet
-          val modes = schema.vars.filterNot(keyNames.contains).map { v =>
+          val modes = inScope.filterNot(keyNames.contains).map { v =>
             val mode =
               if (reboundBelow.contains(v)) GroupAggMode.Materialize
               else {
@@ -160,17 +160,7 @@ object Translator {
             ret = rewriteCount(ret, v)
             sc = sc.withVar(v + "#count")
           }
-          val newEntries = schema.entries.flatMap { case (v, c) =>
-            if (keyNames.contains(v)) Some((v, c))
-            else modes(v) match {
-              case GroupAggMode.Materialize => Some((v, c))
-              case GroupAggMode.Drop        => None
-              case GroupAggMode.CountOnly   => Some((v + "#count", c + "_cnt"))
-            }
-          }
-          val outSchema = TupleSchema(newEntries, schema.nextId)
-          chain = Some(new GroupByClauseIterator(chain.get, keyNames, modes, outSchema))
-          schema = outSchema
+          chain = Some(new GroupByClauseIterator(chain.get, keyNames, modes))
 
         case OrderByClauseAst(specs) =>
           val compiled = specs.map(s =>
@@ -181,13 +171,12 @@ object Translator {
             case GroupByClauseAst(ks) => ks.map(_._1)
             case _                    => Nil
           }
-          val kept = schema.vars.filter(v =>
+          val kept = inScope.filter(v =>
             groupKeys.contains(v) || downstream.exists(usage(_, v)._1))
           chain = Some(new OrderByClauseIterator(chain.get, compiled, kept))
 
         case CountClauseAst(v) =>
-          schema = schema.withVar(v)._1
-          chain = Some(new CountClauseIterator(chain.get, v, schema))
+          chain = Some(new CountClauseIterator(chain.get, v))
           sc = sc.withVar(v)
       }
     }

@@ -12,8 +12,8 @@ import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 /** FLWOR execution on Spark (paper §4.3–4.10, §5.8): narrow clauses over an
   * RDD of live tuples, `group by` and `order by` over the paper's
   * DataFrame encoding. Each query is checked to actually run on Spark
-  * (isRDD on the root FLWOR: the Fig. 9 RDD path, the tuple RDD or the
-  * DataFrame path) and to agree with the forced-local engine. */
+  * (isRDD on the root FLWOR: the tuple RDD or the DataFrame path) and to
+  * agree with the forced-local engine. */
 class DataFrameFlworSpec extends RumbleSpec {
 
   test("initial for over an RDD creates the one-column DataFrame (§4.4)") {
@@ -26,7 +26,7 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   test("for + where + where on the Fig. 9 RDD path") {
     val q = "for $x in parallelize(1 to 60) where $x mod 2 eq 0 where $x mod 3 eq 0 return $x"
-    assert(flworPath(q) == FlworPath.Rdd)
+    assert(flworPath(q) == FlworPath.Tuples)
     checkAgainstLocal(q)
   }
 
@@ -219,7 +219,7 @@ class DataFrameFlworSpec extends RumbleSpec {
     """{"guess": "German", "target": "Danish", "country": "US", "date": "2013-08-20"}"""))
 
   test("path pin: the paper's filter takes the Fig. 9 RDD path") {
-    assert(flworPath(RumbleQueries.filter(confusionFile)) == FlworPath.Rdd)
+    assert(flworPath(RumbleQueries.filter(confusionFile)) == FlworPath.Tuples)
     assert(flworPath(RumbleQueries.filter(confusionFile),
       DynamicContext.root(RumbleConf(forceLocal = true))) == FlworPath.Local)
   }
@@ -238,7 +238,18 @@ class DataFrameFlworSpec extends RumbleSpec {
     assert(flworPath(letWhere) == FlworPath.Tuples)
     // the group's $i is only counted (§4.7 CountOnly)
     val group = rumble.compile(RumbleQueries.group(confusionFile)).asInstanceOf[FlworIterator]
-    assert(group.last.outSchema.vars.toSet == Set("target", "i#count"))
+    assert(group.last.vars.toSet == Set("target", "i#count"))
+  }
+
+  test("a rebinding drops the shadowed variable from the tuple stream (§4.5)") {
+    val q = """for $x in parallelize(1 to 4) let $y := $x let $x := $x * 10 count $c
+              |order by $y descending return [$x, $c]""".stripMargin
+    val order = rumble.compile(q).asInstanceOf[FlworIterator].last
+      .asInstanceOf[OrderByClauseIterator]
+    assert(order.vars == Vector("y", "x", "c"))
+    // the order key is evaluated before the shuffle, so $y has no cell
+    assert(order.kept == Vector("x", "c"))
+    checkAgainstLocal(q)
   }
 
   test("path pin: a FLWOR evaluated inside a closure runs locally") {
@@ -341,7 +352,7 @@ class DataFrameFlworSpec extends RumbleSpec {
       assert(inputParts != spark.conf.get("spark.sql.shuffle.partitions").toInt)
       // the return reads only $i, so $i is the one cell next to the keys
       assert(sorted.columns.toSeq ==
-        (0 until 3).flatMap(i => Seq(s"k${i}_r", s"k${i}_s", s"k${i}_n")) :+ "v0_i")
+        (0 until 3).flatMap(i => Seq(s"k${i}_r", s"k${i}_s", s"k${i}_n")) :+ "c0")
     } finally ctx.releasePersisted()
   }
 

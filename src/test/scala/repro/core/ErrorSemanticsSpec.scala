@@ -18,6 +18,12 @@ class ErrorSemanticsSpec extends RumbleSpec {
     staticError("for $x in $y let $y := 1 return $x")
   }
   test("$$ outside a predicate is a static error") { staticError("$$ + 1") }
+  test("a number literal with an exponent but no digits fails compile (XPST0003)") {
+    Seq("1e", "1e+", "for $x in 1 to 3 return $x * 2E-").foreach(staticError(_, "XPST0003"))
+  }
+  test("an integer literal past the range of a Long evaluates to a decimal") {
+    assert(evalLocal("12345678901234567890 + 1") == "12345678901234567891")
+  }
   test("$$ legal inside a predicate") {
     assert(evalLocal("(1, 2)[$$ eq 2]") == "2")
   }

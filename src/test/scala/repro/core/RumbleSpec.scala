@@ -37,8 +37,8 @@ trait RumbleSpec extends SparkSpec {
     try Right(r.run(query).map(JsonWriter.write))
     catch { case e: RumbleException => Left(e.code) }
 
-  /** Assert the FLWOR root runs on a Spark path (Rdd, Tuples or DataFrame),
-    * then that it returns the forced-local engine's items — in the same
+  /** Assert the FLWOR root runs on a Spark path (Tuples or DataFrame), then
+    * that it returns the forced-local engine's items — in the same
     * order unless `ordered` is false — or raises the same error code. */
   def checkAgainstLocal(query: String, ordered: Boolean = true): Unit = {
     assert(rumble.compile(query).isRDD(DynamicContext.root(RumbleConf())),

@@ -5,44 +5,12 @@ import repro.core.model._
 import repro.core.runtime.{DynamicContext, RumbleConf}
 import repro.core.runtime.flwor.{FlworTuple, KeyEncoder, TupleSchema}
 
-/** Unit tests for the tuple-stream schema machinery (paper §4.3) and the
+/** Unit tests for the tuple-stream row encoding (paper §4.3) and the
   * group/order key encoders (§4.7–4.8). */
 class TupleSchemaSpec extends AnyFunSuite {
 
-  test("withVar assigns fresh sanitized column names") {
-    val (s1, c1) = TupleSchema.empty.withVar("my-var")
-    assert(c1 == "v0_my_var")
-    assert(s1.vars == Vector("my-var"))
-    val (s2, c2) = s1.withVar("x")
-    assert(c2 == "v1_x")
-    assert(s2.cols == Vector("v0_my_var", "v1_x"))
-  }
-
-  test("rebinding a variable drops the shadowed column (paper §4.5)") {
-    val (s1, _)  = TupleSchema.empty.withVar("x")
-    val (s2, _)  = s1.withVar("y")
-    val (s3, c3) = s2.withVar("x")
-    assert(s3.vars == Vector("y", "x"))
-    assert(c3 == "v2_x")
-    assert(s3.cols == Vector("v1_y", "v2_x"))
-  }
-
-  test("similar names cannot collide (fresh ids disambiguate)") {
-    val (s1, c1) = TupleSchema.empty.withVar("a-b")
-    val (s2, c2) = s1.withVar("a_b")
-    assert(c1 != c2)
-    assert(s2.vars.size == 2)
-  }
-
-  test("structType is all-binary") {
-    val (s, _) = TupleSchema.empty.withVar("x")
-    assert(s.structType.fields.forall(_.dataType ==
-      org.apache.spark.sql.types.BinaryType))
-  }
-
   test("rowFromTuple/tupleFromRow round-trip") {
-    val (s1, _) = TupleSchema.empty.withVar("a")
-    val (s, _)  = s1.withVar("b")
+    val s = Vector("a", "b")
     val t = FlworTuple(Map("a" -> List(IntItem(1), IntItem(2)), "b" -> List(StringItem("x"))))
     val row  = TupleSchema.rowFromTuple(t, s)
     val back = TupleSchema.tupleFromRow(row, s)
@@ -64,8 +32,7 @@ class TupleSchemaSpec extends AnyFunSuite {
   }
 
   test("missing bindings serialize as empty sequences") {
-    val (s, _) = TupleSchema.empty.withVar("a")
-    val row = TupleSchema.rowFromTuple(FlworTuple.empty, s)
+    val row = TupleSchema.rowFromTuple(FlworTuple.empty, Vector("a"))
     assert(ItemSerde.deserializeSeq(row.getAs[Array[Byte]](0)) == Nil)
   }
 
@@ -96,9 +63,9 @@ class TupleSchemaSpec extends AnyFunSuite {
 
   test("dynamic context chains and shadows") {
     val root = DynamicContext.root(RumbleConf())
-    val c1   = root.bind("x", List(IntItem(1)))
-    val c2   = c1.bind("y", List(IntItem(2)))
-    val c3   = c2.bind("x", List(IntItem(9)))
+    val c1   = root.bindAll(Map("x" -> List(IntItem(1))))
+    val c2   = c1.bindAll(Map("y" -> List(IntItem(2))))
+    val c3   = c2.bindAll(Map("x" -> List(IntItem(9))))
     assert(c2.lookupOrFail("x") == List(IntItem(1)))
     assert(c3.lookupOrFail("x") == List(IntItem(9)))
     assert(c3.lookupOrFail("y") == List(IntItem(2)))
@@ -109,6 +76,6 @@ class TupleSchemaSpec extends AnyFunSuite {
     val root = DynamicContext.root(RumbleConf())
     assert(!root.insideClosure)
     assert(root.enterClosure.insideClosure)
-    assert(root.enterClosure.bind("x", Nil).insideClosure)
+    assert(root.enterClosure.bindAll(Map("x" -> Nil)).insideClosure)
   }
 }

@@ -32,6 +32,31 @@ class ParserSpec extends AnyFunSuite {
     assert(Lexer.tokenize("2e3") == Vector(TNumber(DoubleItem(2000.0)), TEOF))
   }
 
+  test("an integer literal past the range of a Long is a decimal") {
+    assert(Lexer.tokenize("12345678901234567890") ==
+      Vector(TNumber(DecimalItem(BigDecimal("12345678901234567890"))), TEOF))
+    assert(Lexer.tokenize("9223372036854775807") ==
+      Vector(TNumber(IntItem(Long.MaxValue)), TEOF))
+    // the literal types stay: 1.5 is a decimal, 1.5e0 a double, and `.`
+    // belongs to a number only when a digit follows
+    assert(Lexer.tokenize("1.5e0") == Vector(TNumber(DoubleItem(1.5)), TEOF))
+    assert(Lexer.tokenize("1E+2") == Vector(TNumber(DoubleItem(100.0)), TEOF))
+    assert(Lexer.tokenize("1.a") ==
+      Vector(TNumber(IntItem(1)), TPunct("."), TName("a"), TEOF))
+  }
+
+  test("an exponent without digits is a static error (XPST0003)") {
+    Seq("1e", "1e+", "1E-", "2.5e", "1e+ 2").foreach { q =>
+      val e = intercept[StaticException](Lexer.tokenize(q))
+      assert(e.code == "XPST0003", q)
+    }
+  }
+
+  test("only ASCII digits start a number literal") {
+    val e = intercept[StaticException](Lexer.tokenize("\u0663"))
+    assert(e.code == "XPST0003")
+  }
+
   test("lexes strings with escapes") {
     assert(Lexer.tokenize("\"a\\nb\"") == Vector(TString("a\nb"), TEOF))
   }
