@@ -1,8 +1,10 @@
 package repro.core.json
 
+import java.io.{File, FileInputStream}
 import java.nio.charset.StandardCharsets.{ISO_8859_1, UTF_8}
 import org.apache.hadoop.io.{LongWritable, Text}
 import org.apache.hadoop.mapred.TextInputFormat
+import org.apache.hadoop.util.LineReader
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import repro.core.model._
@@ -15,8 +17,10 @@ import repro.core.model._
   * paper relies on for its "CPU-bound JSON parsing" observation in §6.3.
   *
   * Accepts one JSON value per call (`parseBytes`, or `parse` on a string)
-  * or one value per line (`parseLine` and `readLines`, the JSON-Lines
-  * contract). Invalid JSON raises [[JsonParser.Invalid]], code JNDY0021.
+  * or one value per line (`parseLine`, and `readLines` and `readFile`, the
+  * JSON-Lines contract). Given the keys a query reads, it builds only those
+  * members of a top-level object and checks the rest without building them.
+  * Invalid JSON raises [[JsonParser.Invalid]], code JNDY0021.
   */
 object JsonParser {
 
@@ -41,12 +45,45 @@ object JsonParser {
   /** Parse the complete JSON value in the `len` UTF-8 bytes of `bytes` from
     * `off`; trailing input is an error. No item keeps a reference to
     * `bytes`, so the caller may reuse the buffer. */
-  def parseBytes(bytes: Array[Byte], off: Int, len: Int): Item = {
+  def parseBytes(bytes: Array[Byte], off: Int, len: Int): Item = parseBytes(bytes, off, len, null)
+
+  /** `parseBytes`, except that of a top-level object only the members whose
+    * key `keys` holds are built, every occurrence in order; the other
+    * members' values are checked and skipped without allocating. The input
+    * is valid exactly when `parseBytes` accepts it. `keys == null` builds
+    * every member. */
+  def parseBytes(bytes: Array[Byte], off: Int, len: Int, keys: Keys): Item = {
     val p = new JsonParser(bytes, off, off + len)
-    val v = p.parseValue()
+    p.skipWs()
+    val v = if (keys != null && !p.atEnd && p.peek == '{') p.parseObject(keys) else p.parseValue()
     p.skipWs()
     if (!p.atEnd) p.fail("trailing input")
     v
+  }
+
+  /** The top-level keys an object line keeps (see `parseBytes`). A key
+    * written without escapes is compared as UTF-8 bytes, so no `String` is
+    * made for it. Two valid encodings are equal exactly when their strings
+    * are, and a key whose bytes are not valid UTF-8 decodes to a string with
+    * U+FFFD, which only a kept key holding U+FFFD can equal; such a set
+    * decodes every key. */
+  final class Keys(names: Set[String]) extends Serializable {
+    private val kept: Array[String]       = names.toArray
+    private val bytes: Array[Array[Byte]] = kept.map(_.getBytes(UTF_8))
+    val decodesAll: Boolean               = names.exists(_.contains('\uFFFD'))
+
+    /** The kept key equal to `b` in [`from`, `until`), or null. */
+    def find(b: Array[Byte], from: Int, until: Int): String = {
+      var i = 0
+      while (i < bytes.length) {
+        if (java.util.Arrays.equals(bytes(i), 0, bytes(i).length, b, from, until)) return kept(i)
+        i += 1
+      }
+      null
+    }
+
+    /** `key` if it is kept, or null. */
+    def find(key: String): String = if (names.contains(key)) key else null
   }
 
   /** `json-file` on Spark: the JSON-Lines file(s) at `path` in at least
@@ -56,15 +93,39 @@ object JsonParser {
     * whitespace and control characters is skipped; the bytes compare
     * unsigned, so a line of non-ASCII characters is parsed, not skipped. An
     * invalid line raises JNDY0021 naming `path` and the line's byte offset. */
-  def readLines(sc: SparkContext, path: String, parts: Int): RDD[Item] =
+  def readLines(sc: SparkContext, path: String, parts: Int): RDD[Item] = readLines(sc, path, parts, None)
+
+  /** `readLines`, building of each object line only the top-level `keys`
+    * when given (see `parseBytes`). */
+  def readLines(sc: SparkContext, path: String, parts: Int, keys: Option[Set[String]]): RDD[Item] = {
+    val kept = keys.map(new Keys(_)).orNull
     sc.hadoopFile[LongWritable, Text, TextInputFormat](path, parts).mapPartitions { records =>
       records
         .filter { case (_, line) => !isBlank(line.getBytes, line.getLength) }
         .map { case (offset, line) =>
-          try parseBytes(line.getBytes, 0, line.getLength)
+          try parseBytes(line.getBytes, 0, line.getLength, kept)
           catch { case e: Invalid => throw e.at(s"json-file $path, line at byte offset ${offset.get}") }
         }
     }
+  }
+
+  /** `json-file` without Spark: the lines of `file`, split as Hadoop's
+    * `TextInputFormat` splits them (at LF, CR or CRLF), skipped when blank
+    * and parsed from their bytes as `readLines` does, so both paths read a
+    * file alike. An invalid line raises JNDY0021 naming `file` and the
+    * line's number. */
+  def readFile(file: File): Iterator[Item] = {
+    val in    = new FileInputStream(file)
+    val lines = new LineReader(in)
+    val line  = new Text
+    Iterator.from(1)
+      .takeWhile(_ => lines.readLine(line) > 0 || { in.close(); false })
+      .filter(_ => !isBlank(line.getBytes, line.getLength))
+      .map { n =>
+        try parseBytes(line.getBytes, 0, line.getLength)
+        catch { case e: Invalid => throw e.at(s"json-file $file, line $n") }
+      }
+  }
 
   private def isBlank(bytes: Array[Byte], len: Int): Boolean = {
     var i = 0
@@ -101,17 +162,56 @@ final class JsonParser(b: Array[Byte], start: Int, end: Int) {
     skipWs()
     if (atEnd) fail("unexpected end of input")
     peek match {
-      case '{'                                     => parseObject()
+      case '{'                                     => parseObject(null)
       case '['                                     => parseArray()
       case '"'                                     => StringItem(parseString())
       case 't'                                     => parseKeyword("true", BooleanItem(true))
       case 'f'                                     => parseKeyword("false", BooleanItem(false))
       case 'n'                                     => parseKeyword("null", NullItem)
       case c if c == '-' || (c >= '0' && c <= '9') => parseNumber()
-      case c if c < 0x80                           => fail(s"unexpected character '$c'")
-      case c                                       => fail(f"unexpected byte 0x${c.toInt}%02x")
+      case c                                       => unexpected(c)
     }
   }
+
+  /** Moves past the value at `pos`, checking it as `parseValue` does but
+    * building nothing. */
+  private def skipValue(): Unit = {
+    skipWs()
+    if (atEnd) fail("unexpected end of input")
+    peek match {
+      case '{' => skipMembers('}')
+      case '[' => skipMembers(']')
+      case '"' => skipString()
+      case 't' => parseKeyword("true", null)
+      case 'f' => parseKeyword("false", null)
+      case 'n' => parseKeyword("null", null)
+      case c if c == '-' || (c >= '0' && c <= '9') => skipNumber()
+      case c => unexpected(c)
+    }
+  }
+
+  /** Moves past the object (`close` is '}') or array (']') at `pos`. */
+  private def skipMembers(close: Char): Unit = {
+    pos += 1; skipWs()
+    if (!atEnd && peek == close) { pos += 1; return }
+    val isObject = close == '}'
+    var done     = false
+    while (!done) {
+      skipWs()
+      if (isObject) { skipString(); skipWs(); expect(':') }
+      skipValue()
+      skipWs()
+      if (atEnd) fail(if (isObject) "unterminated object" else "unterminated array")
+      peek match {
+        case ','             => pos += 1
+        case c if c == close => pos += 1; done = true
+        case c               => fail(s"expected ',' or '$close' but found '$c'")
+      }
+    }
+  }
+
+  private def unexpected(c: Char): Nothing =
+    if (c < 0x80) fail(s"unexpected character '$c'") else fail(f"unexpected byte 0x${c.toInt}%02x")
 
   private def parseKeyword(kw: String, item: Item): Item = {
     var i = 0
@@ -123,17 +223,18 @@ final class JsonParser(b: Array[Byte], start: Int, end: Int) {
     item
   }
 
-  private def parseObject(): Item = {
+  /** The object at `pos`, with only the members whose key `keys` keeps
+    * (every member when `keys` is null). */
+  private def parseObject(keys: JsonParser.Keys): Item = {
     expect('{'); skipWs()
     val fields = Vector.newBuilder[(String, Item)]
     if (!atEnd && peek == '}') { pos += 1; return ObjectItem(fields.result()) }
     var done = false
     while (!done) {
       skipWs()
-      val key = parseString()
+      val key = if (keys == null) parseString() else keptKey(keys)
       skipWs(); expect(':')
-      val value = parseValue()
-      fields += ((key, value))
+      if (key != null) fields += ((key, parseValue())) else skipValue()
       skipWs()
       if (atEnd) fail("unterminated object")
       peek match {
@@ -143,6 +244,14 @@ final class JsonParser(b: Array[Byte], start: Int, end: Int) {
       }
     }
     ObjectItem(fields.result())
+  }
+
+  /** The key at `pos` if `keys` keeps it, else null. A key with no escape
+    * is compared as bytes; one with escapes is decoded first. */
+  private def keptKey(keys: JsonParser.Keys): String = {
+    val from = pos + 1
+    if (skipString() || keys.decodesAll) keys.find(decode(from, pos - 1))
+    else keys.find(b, from, pos - 1)
   }
 
   private def parseArray(): Item = {
@@ -163,83 +272,114 @@ final class JsonParser(b: Array[Byte], start: Int, end: Int) {
     ArrayItem(values.result())
   }
 
-  /** A string with no escape is decoded once, straight from the bytes;
-    * only one with escapes goes through a builder. */
+  /** A string with no escape is decoded once, straight from the bytes. */
   private def parseString(): String = {
+    val from = pos + 1
+    if (skipString()) decode(from, pos - 1) else new String(b, from, pos - 1 - from, UTF_8)
+  }
+
+  /** Moves past the string at `pos`, checking its escapes; true when it
+    * has any. */
+  private def skipString(): Boolean = {
     expect('"')
-    var sb: java.lang.StringBuilder = null // made at the first escape
-    var run = pos                          // the first byte not yet in `sb`
+    var escaped = false
     while (pos < end && b(pos) != '"') {
       if (b(pos) == '\\') {
-        if (sb == null) sb = new java.lang.StringBuilder
-        sb.append(new String(b, run, pos - run, UTF_8))
+        escaped = true
         pos += 1
         if (atEnd) fail("unterminated escape")
-        sb.append(peek match {
-          case '"'   => '"'
-          case '\\'  => '\\'
-          case '/'   => '/'
-          case 'b'   => '\b'
-          case 'f'   => '\f'
-          case 'n'   => '\n'
-          case 'r'   => '\r'
-          case 't'   => '\t'
-          case 'u'   => parseHex4()
+        peek match {
+          case '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' =>
+          case 'u'   => hex4(pos); pos += 4
           case other => fail(s"bad escape '\\$other'")
-        })
-        run = pos + 1
+        }
       }
       pos += 1
     }
     if (atEnd) fail("unterminated string")
     pos += 1
-    val last = new String(b, run, pos - 1 - run, UTF_8)
-    if (sb == null) last else sb.append(last).toString
+    escaped
   }
 
-  /** The char of a `\uXXXX` escape whose `u` is at `pos`; leaves `pos` on
-    * the last hex digit. */
-  private def parseHex4(): Char = {
-    if (end - pos < 5) fail("bad unicode escape")
+  /** The string in bytes [`from`, `until`), whose escapes `skipString`
+    * has checked. */
+  private def decode(from: Int, until: Int): String = {
+    val sb  = new java.lang.StringBuilder
+    var run = from // the first byte not yet in `sb`
+    var i   = from
+    while (i < until) {
+      if (b(i) == '\\') {
+        sb.append(new String(b, run, i - run, UTF_8))
+        val c = (b(i + 1) & 0xff).toChar
+        sb.append(c match {
+          case 'b' => '\b'
+          case 'f' => '\f'
+          case 'n' => '\n'
+          case 'r' => '\r'
+          case 't' => '\t'
+          case 'u' => hex4(i + 1)
+          case _   => c // '"', '\\' and '/' stand for themselves
+        })
+        i += (if (c == 'u') 6 else 2)
+        run = i
+      } else i += 1
+    }
+    sb.append(new String(b, run, until - run, UTF_8)).toString
+  }
+
+  /** The char of the `\uXXXX` escape whose `u` is at `u`. */
+  private def hex4(u: Int): Char = {
+    if (end - u < 5) { pos = u; fail("bad unicode escape") }
     var v = 0
     for (i <- 1 to 4) {
-      val d = Character.digit(b(pos + i) & 0xff, 16)
-      if (d < 0) fail("bad unicode escape")
+      val d = Character.digit(b(u + i) & 0xff, 16)
+      if (d < 0) { pos = u; fail("bad unicode escape") }
       v = v * 16 + d
     }
-    pos += 4
     v.toChar
   }
 
-  private def skipDigits(): Unit =
-    while (pos < end && b(pos) >= '0' && b(pos) <= '9') pos += 1
-
-  /** An integer is an `IntItem` when it fits in a `Long` and a
-    * `DecimalItem` otherwise; a fraction or an exponent makes a `DoubleItem`. */
-  private def parseNumber(): Item = {
-    val s = pos
+  /** Moves past the number at `pos`; true when it is an integer. Accepts
+    * `-`? digits (`.` digits)? ([eE] [+-]? digits)? with at least one
+    * mantissa digit on either side of the point and, after an `e`, at least
+    * one exponent digit, so messy forms such as `01`, `1.` and `-.5` read as
+    * the number they plainly denote. */
+  private def skipNumber(): Boolean = {
     if (b(pos) == '-') pos += 1
-    skipDigits()
+    var digits     = skipDigits()
     var isIntegral = true
     if (pos < end && b(pos) == '.') {
       isIntegral = false
       pos += 1
-      skipDigits()
+      digits += skipDigits()
     }
+    var exponentOk = true
     if (pos < end && (b(pos) == 'e' || b(pos) == 'E')) {
       isIntegral = false
       pos += 1
       if (pos < end && (b(pos) == '+' || b(pos) == '-')) pos += 1
-      skipDigits()
+      exponentOk = skipDigits() > 0
     }
-    val text = new String(b, s, pos - s, ISO_8859_1)
-    if (text == "-") fail("bad number")
+    if (digits == 0 || !exponentOk) fail("bad number")
+    isIntegral
+  }
+
+  /** Moves past a run of digits; returns its length. */
+  private def skipDigits(): Int = {
+    val s = pos
+    while (pos < end && b(pos) >= '0' && b(pos) <= '9') pos += 1
+    pos - s
+  }
+
+  /** An integer is an `IntItem` when it fits in a `Long` and a
+    * `DecimalItem` otherwise; a fraction or an exponent makes a `DoubleItem`. */
+  private def parseNumber(): Item = {
+    val s          = pos
+    val isIntegral = skipNumber()
+    val text       = new String(b, s, pos - s, ISO_8859_1)
     if (isIntegral) {
       try IntItem(text.toLong)
       catch { case _: NumberFormatException => DecimalItem(BigDecimal(text)) }
-    } else {
-      try DoubleItem(text.toDouble)
-      catch { case _: NumberFormatException => fail("bad number") }
-    }
+    } else DoubleItem(text.toDouble)
   }
 }

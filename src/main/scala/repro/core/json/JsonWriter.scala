@@ -47,18 +47,30 @@ object JsonWriter {
       sb.append('}')
   }
 
+  /** A surrogate pair is written as it is; an unpaired surrogate, which
+    * UTF-8 cannot encode, is written as its `\uXXXX` escape, so it reads
+    * back as the same char. */
   private def appendString(sb: StringBuilder, s: String): Unit = {
     sb.append('"')
-    s.foreach {
-      case '"'           => sb.append("\\\"")
-      case '\\'          => sb.append("\\\\")
-      case '\b'          => sb.append("\\b")
-      case '\f'          => sb.append("\\f")
-      case '\n'          => sb.append("\\n")
-      case '\r'          => sb.append("\\r")
-      case '\t'          => sb.append("\\t")
-      case c if c < ' '  => sb.append(f"\\u${c.toInt}%04x")
-      case c             => sb.append(c)
+    var i = 0
+    while (i < s.length) {
+      s.charAt(i) match {
+        case '"'           => sb.append("\\\"")
+        case '\\'          => sb.append("\\\\")
+        case '\b'          => sb.append("\\b")
+        case '\f'          => sb.append("\\f")
+        case '\n'          => sb.append("\\n")
+        case '\r'          => sb.append("\\r")
+        case '\t'          => sb.append("\\t")
+        case c if c < ' '  => sb.append(f"\\u${c.toInt}%04x")
+        case c if Character.isHighSurrogate(c) && i + 1 < s.length &&
+                  Character.isLowSurrogate(s.charAt(i + 1)) =>
+          sb.append(c).append(s.charAt(i + 1))
+          i += 1
+        case c if Character.isSurrogate(c) => sb.append(f"\\u${c.toInt}%04x")
+        case c             => sb.append(c)
+      }
+      i += 1
     }
     sb.append('"')
   }

@@ -117,7 +117,8 @@ case object NullItem extends AtomicItem {
   * and falls back to a lazy index for wide objects. */
 final case class ObjectItem(fields: Vector[(String, Item)]) extends Item {
   override def isObject: Boolean = true
-  @transient private lazy val index: Map[String, Item] = fields.toMap
+  // built from the last field back, so a repeated key maps to its first value
+  @transient private lazy val index: Map[String, Item] = fields.reverseIterator.toMap
   override def lookup(key: String): Option[Item] =
     if (fields.size <= 12) {
       var i = 0
@@ -139,6 +140,10 @@ final case class ArrayItem(values: Vector[Item]) extends Item {
 }
 
 object Item {
+
+  /** The integer `v`: an `IntItem` when it fits in a `Long`, else a
+    * `DecimalItem`, as JSON input and integer literals read past that range. */
+  def integer(v: BigDecimal): Item = if (v.isValidLong) IntItem(v.toLong) else DecimalItem(v)
 
   /** Effective boolean value of a sequence (JSONiq): empty → false,
     * singleton → item EBV, multi-item starting with a node-ish item → true,

@@ -56,7 +56,9 @@ final class RangeIterator(from: RuntimeIterator, to: RuntimeIterator) extends Ru
 /** Arithmetic `+ - * div idiv mod` with numeric promotion:
   * integer op integer stays integral (except div → double), any double
   * operand promotes to double, decimals use BigDecimal arithmetic.
-  * Empty operand → empty result (XQuery semantics). */
+  * JSONiq integers are unbounded: an integer result past the range of a
+  * `Long` is a `DecimalItem`, as an integer literal or JSON number past it
+  * is. Empty operand → empty result (XQuery semantics). */
 final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIterator)
     extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] =
@@ -71,15 +73,15 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
     (a, b) match {
       case (IntItem(x), IntItem(y)) =>
         op match {
-          case "+"    => IntItem(x + y)
-          case "-"    => IntItem(x - y)
-          case "*"    => IntItem(x * y)
+          case "+"    => exact(x, y)(Math.addExact(x, y))
+          case "-"    => exact(x, y)(Math.subtractExact(x, y))
+          case "*"    => exact(x, y)(Math.multiplyExact(x, y))
           case "div"  =>
             if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
             DoubleItem(x.toDouble / y.toDouble)
           case "idiv" =>
             if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
-            IntItem(x / y)
+            exact(x, y)(if (x == Long.MinValue && y == -1) throw new ArithmeticException else x / y)
           case "mod"  =>
             if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
             IntItem(x % y)
@@ -101,6 +103,12 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
     }
   }
 
+  /** `r`, the integer result of `x op y`, or the same operation on
+    * decimals when `r` overflows a `Long`. */
+  private def exact(x: Long, y: Long)(r: => Long): Item =
+    try IntItem(r)
+    catch { case _: ArithmeticException => decimalOp(BigDecimal(x), BigDecimal(y)) }
+
   private def toDec(i: Item): BigDecimal = i match {
     case IntItem(v)     => BigDecimal(v)
     case DecimalItem(v) => v
@@ -116,7 +124,7 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
       DecimalItem(BigDecimal(x.bigDecimal.divide(y.bigDecimal, java.math.MathContext.DECIMAL64)))
     case "idiv" =>
       if (y.signum == 0) throw new RumbleException("FOAR0001", "division by zero")
-      IntItem((x / y).toLong)
+      Item.integer(BigDecimal(x.bigDecimal.divideToIntegralValue(y.bigDecimal)))
     case "mod"  => DecimalItem(x % y)
   }
 }
@@ -125,7 +133,8 @@ final class UnaryMinusIterator(child: RuntimeIterator) extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     child.materializeAtMostOne(ctx) match {
       case None                  => Iterator.empty
-      case Some(IntItem(v))      => Iterator.single(IntItem(-v))
+      case Some(IntItem(v))      =>
+        Iterator.single(if (v == Long.MinValue) DecimalItem(-BigDecimal(v)) else IntItem(-v))
       case Some(DoubleItem(v))   => Iterator.single(DoubleItem(-v))
       case Some(DecimalItem(v))  => Iterator.single(DecimalItem(-v))
       case Some(other) =>
@@ -272,28 +281,35 @@ final class ArrayLookupIterator(target: RuntimeIterator, index: RuntimeIterator)
   * singleton numeric predicate value selects by 1-based position, any other
   * value filters by effective boolean value. The RDD path (paper §5.6)
   * carries the predicate's runtime iterator in the closure and evaluates it
-  * through the local API on the executors; positional predicates require
-  * local execution. */
-final class PredicateIterator(target: RuntimeIterator, predicate: RuntimeIterator)
+  * through the local API on the executors. When the translator proved that
+  * the predicate never yields a number (`booleanPredicate`) that is a plain
+  * `filter`; otherwise the items are numbered first with `zipWithIndex`,
+  * as the count clause does (§4.9).
+  */
+final class PredicateIterator(target: RuntimeIterator, predicate: RuntimeIterator,
+                              booleanPredicate: Boolean)
     extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] =
-    target.localIterator(ctx).zipWithIndex.flatMap { case (item, i) =>
-      predicate.materialize(ctx.withContextItem(item)) match {
-        case List(n) if n.isNumeric => if (n.numericDouble == i + 1) Some(item) else None
-        case result => if (Item.effectiveBooleanValue(result)) Some(item) else None
-      }
+    target.localIterator(ctx).zipWithIndex.collect {
+      case (item, i) if PredicateIterator.selects(predicate, ctx, item, i) => item
     }
   override def isRDD(ctx: DynamicContext): Boolean = target.isRDD(ctx)
   override def getRDD(ctx: DynamicContext): RDD[Item] = {
     val pred       = predicate
     val closureCtx = ctx.enterClosure
-    target.getRDD(ctx).filter { item =>
-      pred.materialize(closureCtx.withContextItem(item)) match {
-        case List(n) if n.isNumeric =>
-          throw new RumbleException(
-            "RBML0002", "positional predicates are not supported on the RDD path")
-        case result => Item.effectiveBooleanValue(result)
-      }
+    val items      = target.getRDD(ctx)
+    if (booleanPredicate) items.filter(PredicateIterator.selects(pred, closureCtx, _, 0L))
+    else items.zipWithIndex().collect {
+      case (item, i) if PredicateIterator.selects(pred, closureCtx, item, i) => item
     }
   }
+}
+
+object PredicateIterator {
+  /** Whether `pred` keeps `item`, the input's item at 0-based `position`. */
+  def selects(pred: RuntimeIterator, ctx: DynamicContext, item: Item, position: Long): Boolean =
+    pred.materialize(ctx.withContextItem(item)) match {
+      case List(n) if n.isNumeric => n.numericDouble == position + 1
+      case result                 => Item.effectiveBooleanValue(result)
+    }
 }

@@ -11,9 +11,10 @@ import repro.core.model._
   * a sequence of items. On the RDD path it is `JsonParser.readLines`, which
   * parses each Hadoop `Text` record from its bytes, in `partitions`
   * partitions or else Spark's default parallelism; on the local path
-  * (forced-local engines, closures) it streams the file line by line
-  * without Spark. A line that is not JSON raises JNDY0021 naming the file
-  * and the line (its byte offset on Spark, its number locally).
+  * (forced-local engines, closures) `JsonParser.readFile` reads the file
+  * without Spark, splitting and parsing its lines the same way. A line
+  * that is not JSON raises JNDY0021 naming the file and the line (its byte
+  * offset on Spark, its number locally).
   */
 final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[RuntimeIterator])
     extends RuntimeIterator {
@@ -27,13 +28,17 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
   override def isRDD(ctx: DynamicContext): Boolean =
     !ctx.conf.forceLocal && !ctx.insideClosure
 
-  override def getRDD(ctx: DynamicContext): RDD[Item] = {
+  override def getRDD(ctx: DynamicContext): RDD[Item] = getRDD(ctx, None)
+
+  /** The items, of each object line only the top-level `keys` when given:
+    * the read a FLWOR's initial `for` projects (see `FlworIterator.keptKeys`). */
+  def getRDD(ctx: DynamicContext, keys: Option[Set[String]]): RDD[Item] = {
     val sc = SparkSession.active.sparkContext
     val parts = partitions
       .flatMap(_.materializeAtMostOne(ctx))
       .map(_.numericDouble.toInt)
       .getOrElse(sc.defaultParallelism)
-    JsonParser.readLines(sc, path(ctx), parts)
+    JsonParser.readLines(sc, path(ctx), parts, keys)
   }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] = {
@@ -42,13 +47,7 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
       if (f.isDirectory)
         f.listFiles().filter(x => x.isFile && x.getName.startsWith("part-")).sortBy(_.getName).toSeq
       else Seq(f)
-    files.iterator.flatMap { file =>
-      scala.io.Source.fromFile(file, "UTF-8").getLines().zipWithIndex.collect {
-        case (line, i) if line.trim.nonEmpty =>
-          try JsonParser.parseLine(line)
-          catch { case e: JsonParser.Invalid => throw e.at(s"json-file $file, line ${i + 1}") }
-      }
-    }
+    files.iterator.flatMap(JsonParser.readFile)
   }
 }
 
@@ -183,18 +182,29 @@ object Builtins {
 
   // ----------------------------------------------------------- aggregates
 
-  /** Running `sum`: integers add exactly while every item is an integer;
-    * from the first non-integer on the sum is a double. Both paths fold
-    * it, so an RDD of integers sums to an integer as it does locally. */
-  private final case class SumAcc(allInt: Boolean, ints: Long, doubles: Double) {
-    private def asDouble: Double = if (allInt) ints.toDouble else doubles
+  /** Running `sum`: integers add exactly while every item is an integer,
+    * in a `Long` plus a decimal `carry` that takes what overflows it; the
+    * result is an integer, a decimal past the range of a `Long`. From the
+    * first non-integer on the sum is a double. Both paths fold it, so an RDD
+    * of integers sums to the integer it sums to locally. */
+  private final case class SumAcc(allInt: Boolean, ints: Long, carry: BigDecimal, doubles: Double) {
+    private def exact: BigDecimal = carry + ints
+    private def asDouble: Double  = if (allInt) exact.toDouble else doubles
+    private def plus(v: Long): SumAcc =
+      try copy(ints = Math.addExact(ints, v))
+      catch { case _: ArithmeticException => copy(ints = v, carry = exact) }
     def add(i: Item): SumAcc =
-      if (allInt && i.isInteger) copy(ints = ints + i.asInstanceOf[IntItem].value)
-      else SumAcc(allInt = false, ints, asDouble + i.numericDouble)
+      if (allInt && i.isInteger) plus(i.asInstanceOf[IntItem].value)
+      else SumAcc(allInt = false, 0L, SumAcc.Zero, asDouble + i.numericDouble)
     def merge(o: SumAcc): SumAcc =
-      if (allInt && o.allInt) SumAcc(allInt = true, ints + o.ints, 0.0)
-      else SumAcc(allInt = false, 0L, asDouble + o.asDouble)
-    def result: Item = if (allInt) IntItem(ints) else DoubleItem(doubles)
+      if (allInt && o.allInt) { val s = plus(o.ints); s.copy(carry = s.carry + o.carry) }
+      else SumAcc(allInt = false, 0L, SumAcc.Zero, asDouble + o.asDouble)
+    def result: Item = if (allInt) Item.integer(exact) else DoubleItem(doubles)
+  }
+
+  private object SumAcc {
+    val Zero: BigDecimal = BigDecimal(0)
+    val empty: SumAcc    = SumAcc(allInt = true, 0L, Zero, 0.0)
   }
 
   /** Fold the items of `a` with `add`: locally in order, or on an RDD as
@@ -210,7 +220,7 @@ object Builtins {
 
   private def sum(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
     Iterator.single(
-      aggregate(a.head, ctx, SumAcc(allInt = true, 0L, 0.0))(_ add _, _ merge _).result)
+      aggregate(a.head, ctx, SumAcc.empty)(_ add _, _ merge _).result)
 
   private def avg(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
     val (s, n) = aggregate(a.head, ctx, (0.0, 0L))(
@@ -303,7 +313,8 @@ object Builtins {
   private def abs(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
     a.head.materializeAtMostOne(ctx) match {
       case None                 => Iterator.empty
-      case Some(IntItem(v))     => Iterator.single(IntItem(math.abs(v)))
+      case Some(IntItem(v))     =>
+        Iterator.single(if (v == Long.MinValue) DecimalItem(-BigDecimal(v)) else IntItem(math.abs(v)))
       case Some(DoubleItem(v))  => Iterator.single(DoubleItem(math.abs(v)))
       case Some(DecimalItem(v)) => Iterator.single(DecimalItem(v.abs))
       case Some(other) =>

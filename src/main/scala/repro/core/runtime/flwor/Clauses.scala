@@ -25,7 +25,10 @@ abstract class ClauseIterator extends Serializable {
   /** The variables this clause's tuples bind, in binding order (§4.3). */
   def vars: Vector[String]
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple]
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple]
+  /** The tuple RDD. `read` is passed up the chain to the initial `for`:
+    * when given and that `for` reads `json-file`, each object line is built
+    * with only those top-level keys ([[FlworIterator.keptKeys]]). */
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple]
 
   /** The parent's variables with `v` bound last; rebinding `v` drops the
     * shadowed binding (paper §4.5). */
@@ -44,9 +47,9 @@ abstract class NarrowClauseIterator extends ClauseIterator {
     case Some(p) => p.tupleIterator(ctx).flatMap(step(_, ctx))
   }
 
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
     val base = ctx.enterClosure
-    parent.get.tupleRdd(ctx).mapPartitions(_.flatMap(step(_, base)))
+    parent.get.tupleRdd(ctx, read).mapPartitions(_.flatMap(step(_, base)))
   }
 }
 
@@ -65,12 +68,17 @@ final class ForClauseIterator(
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
     expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
 
-  override def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = parent match {
-    case None =>
-      val v = varName
-      expr.getRDD(ctx).map(item => FlworTuple(Map(v -> List(item))))
-    case Some(_) => super.tupleRdd(ctx)
-  }
+  override def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] =
+    parent match {
+      case None =>
+        val v = varName
+        val items = expr match {
+          case file: JsonFileIterator => file.getRDD(ctx, read)
+          case _                      => expr.getRDD(ctx)
+        }
+        items.map(item => FlworTuple(Map(v -> List(item))))
+      case Some(_) => super.tupleRdd(ctx, read)
+    }
 }
 
 /** `let $v := expr` (paper §4.5): extended projection without EXPLODE. As
@@ -103,9 +111,9 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
     input.tupleIterator(ctx).filter(keeps(_, ctx))
 
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
     val base = ctx.enterClosure
-    input.tupleRdd(ctx).filter(keeps(_, base))
+    input.tupleRdd(ctx, read).filter(keeps(_, base))
   }
 }
 
@@ -234,9 +242,9 @@ final class GroupByClauseIterator(
   def parent: Option[ClauseIterator] = Some(input)
 
   /** The GROUP BY's input: each partition's partial groups, one row each. */
-  def partialFrame(ctx: DynamicContext): DataFrame = {
+  def partialFrame(ctx: DynamicContext, read: Option[Set[String]]): DataFrame = {
     val (ks, cs, ms) = (keys, counted, kept)
-    val rows = input.tupleRdd(ctx).mapPartitions { ts =>
+    val rows = input.tupleRdd(ctx, read).mapPartitions { ts =>
       val fold = new GroupFold(ks, cs, ms)
       val groups = ts.flatMap { t =>
         fold.add(t)
@@ -258,11 +266,11 @@ final class GroupByClauseIterator(
     SparkSession.active.createDataFrame(rows, schema)
   }
 
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
     val (ks, cs, ms) = (keys, counted, kept)
     val aggs: Seq[Column] = ks.indices.map(i => first(s"c$i")) ++
       cs.indices.map(i => sum(s"n$i")) ++ ms.indices.map(i => collect_list(s"m$i"))
-    val grouped = partialFrame(ctx)
+    val grouped = partialFrame(ctx, read)
       .groupBy(ks.indices.flatMap(i => KeyEncoder.fields(s"k$i").map(f => col(f.name))): _*)
       .agg(aggs.head, aggs.tail: _*)
     val at = 3 * ks.size
@@ -319,8 +327,8 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
   /** The sorted DataFrame: key columns `k<i>_r/_s/_n`, then the cells of
     * `kept`, `c0`, `c1`, …. It reads a cache that lives until the query's
     * context is released. */
-  def sortedFrame(ctx: DynamicContext): DataFrame = {
-    val tuples = input.tupleRdd(ctx)
+  def sortedFrame(ctx: DynamicContext, read: Option[Set[String]]): DataFrame = {
+    val tuples = input.tupleRdd(ctx, read)
     val cs     = kept
     val base   = ctx.enterClosure
     val ss     = specs
@@ -353,9 +361,9 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
       .sortWithinPartitions(order: _*)
   }
 
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
     val cs = kept
-    sortedFrame(ctx).select(cs.indices.map(i => col(s"c$i")): _*).rdd
+    sortedFrame(ctx, read).select(cs.indices.map(i => col(s"c$i")): _*).rdd
       .map(TupleSchema.tupleFromRow(_, cs))
   }
 
@@ -399,9 +407,9 @@ final class CountClauseIterator(input: ClauseIterator, varName: String) extends 
   def parent: Option[ClauseIterator] = Some(input)
   val vars: Vector[String]           = binding(varName)
 
-  def tupleRdd(ctx: DynamicContext): RDD[FlworTuple] = {
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
     val v = varName
-    input.tupleRdd(ctx).zipWithIndex().map { case (t, i) => t.updated(v, List(IntItem(i + 1))) }
+    input.tupleRdd(ctx, read).zipWithIndex().map { case (t, i) => t.updated(v, List(IntItem(i + 1))) }
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
@@ -430,9 +438,13 @@ object FlworPath extends Enumeration {
   *        object/array constructor, a literal); a consuming `count()` can
   *        then count the tuples without materializing any item — the same
   *        aggregation-detection family as the paper's §4.7 COUNT pushdown.
+  * @param clauseKeys the top-level keys of the initial `for` variable that
+  *        the clauses read, when they read it only as `$v.key` or `count($v)`
+  * @param allKeys the same for the clauses and the return together
   */
 final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
-                          singletonReturn: Boolean = false)
+                          singletonReturn: Boolean, clauseKeys: Option[Set[String]],
+                          allKeys: Option[Set[String]])
     extends RuntimeIterator {
 
   /** The clause chain, first clause first. */
@@ -452,6 +464,14 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
     case _ => FlworPath.Local
   }
 
+  /** The top-level keys that a Spark path builds of each object the initial
+    * `for` reads from `json-file` (`None`: whole objects). A `count` over a
+    * singleton return never evaluates the return, so it keeps what the
+    * clauses read; every other consumer goes through `getRDD` and keeps what
+    * the clauses and the return read. */
+  def keptKeys(counting: Boolean): Option[Set[String]] =
+    if (counting && singletonReturn) clauseKeys else allKeys
+
   override def isRDD(ctx: DynamicContext): Boolean = path(ctx) != FlworPath.Local
 
   override def getRDD(ctx: DynamicContext): RDD[Item] =
@@ -459,7 +479,8 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
     else {
       val base = ctx.enterClosure
       val re   = retExpr
-      last.tupleRdd(ctx).flatMap(t => re.localIterator(base.bindAll(t.bindings)))
+      last.tupleRdd(ctx, keptKeys(counting = false))
+        .flatMap(t => re.localIterator(base.bindAll(t.bindings)))
     }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
@@ -467,6 +488,6 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
 
   /** Counts the tuples when the return yields one item each. */
   override def count(ctx: DynamicContext): Long =
-    if (singletonReturn && isRDD(ctx)) last.tupleRdd(ctx).count()
+    if (singletonReturn && isRDD(ctx)) last.tupleRdd(ctx, keptKeys(counting = true)).count()
     else super.count(ctx)
 }

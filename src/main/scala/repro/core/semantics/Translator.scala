@@ -84,7 +84,8 @@ object Translator {
       new ArrayLookupIterator(translateExpr(t, sc), translateExpr(i, sc))
 
     case PredicateExpr(t, p) =>
-      new PredicateIterator(translateExpr(t, sc), translateExpr(p, sc.withContextItem))
+      new PredicateIterator(translateExpr(t, sc), translateExpr(p, sc.withContextItem),
+        isBoolean(p))
 
     case FunctionCallExpr(name, args) => Builtins.resolve(name, args.map(translateExpr(_, sc)))
 
@@ -102,6 +103,7 @@ object Translator {
     * dropped entirely. */
   private def translateFlwor(clauses: List[ClauseAst], ret0: ExprAst,
                              sc0: StaticContext): RuntimeIterator = {
+    val (clauseKeys, allKeys) = keysRead(clauses, ret0)
     var chain: Option[ClauseIterator] = None
     var sc                            = sc0
     var remaining                     = clauses
@@ -147,9 +149,9 @@ object Translator {
             val mode =
               if (reboundBelow.contains(v)) GroupAggMode.Materialize
               else {
-                val uses = downstream.map(usage(_, v))
-                if (uses.forall(u => !u._1)) GroupAggMode.Drop
-                else if (uses.forall(_._2)) GroupAggMode.CountOnly
+                val use = Usage.of(downstream.map(usage(_, v)))
+                if (!use.used) GroupAggMode.Drop
+                else if (use.onlyCount) GroupAggMode.CountOnly
                 else GroupAggMode.Materialize
               }
             v -> mode
@@ -172,7 +174,7 @@ object Translator {
             case _                    => Nil
           }
           val kept = inScope.filter(v =>
-            groupKeys.contains(v) || downstream.exists(usage(_, v)._1))
+            groupKeys.contains(v) || downstream.exists(usage(_, v).used))
           chain = Some(new OrderByClauseIterator(chain.get, compiled, kept))
 
         case CountClauseAst(v) =>
@@ -181,7 +183,44 @@ object Translator {
       }
     }
 
-    new FlworIterator(chain.get, translateExpr(ret, sc), singletonReturn(ret, clauses))
+    new FlworIterator(chain.get, translateExpr(ret, sc), singletonReturn(ret, clauses),
+      clauseKeys, allKeys)
+  }
+
+  /** The top-level keys of the initial `for` variable `$v` that the later
+    * clauses read, and that they and the return read (paper's data
+    * independence applied to the read: `json-file` on Spark builds only
+    * these, see `FlworIterator.keptKeys`). `None` when a use may read the
+    * whole object: `$v` itself, `$v[]`, `$v[[i]]`, `$v[p]`, `$v` as the
+    * argument of any function but `count`, a nested FLWOR that rebinds `$v`,
+    * or a later clause that rebinds or groups by `$v`. */
+  private def keysRead(clauses: List[ClauseAst], ret: ExprAst)
+      : (Option[Set[String]], Option[Set[String]]) = clauses match {
+    case ForClauseAst((v, _) :: more) :: rest =>
+      val later = ForClauseAst(more) :: rest
+      val rebound = later.flatMap {
+        case GroupByClauseAst(ks) => ks.map(_._1)
+        case c                    => clauseBoundVars(c)
+      }
+      if (rebound.contains(v)) (None, None)
+      else {
+        val inClauses = Usage.of(later.flatMap(clauseExprs).map(usage(_, v)))
+        (inClauses.keys, Usage.of(Seq(inClauses, usage(ret, v))).keys)
+      }
+    case _ => (None, None)
+  }
+
+  /** Builtins whose result is always one boolean. */
+  private val booleanFunctions = Set("boolean", "not", "empty", "exists", "contains", "starts-with")
+
+  /** True when `p` never yields a number: a comparison, `and`/`or`, a
+    * boolean literal or a boolean builtin. A predicate over it filters by
+    * EBV and never selects by position. */
+  private def isBoolean(p: ExprAst): Boolean = p match {
+    case _: ComparisonExpr | _: AndExpr | _: OrExpr => true
+    case LiteralExpr(BooleanItem(_))                => true
+    case FunctionCallExpr(name, _)                  => booleanFunctions.contains(name)
+    case _                                          => false
   }
 
   /** True when the return expression provably yields exactly one item per
@@ -211,7 +250,7 @@ object Translator {
     }
   }
 
-  // ------------------------- usage analysis: group-by modes, order-by cells
+  // ---------- usage analysis: group-by modes, order-by cells, projected reads
 
   /** All expression ASTs directly contained in a clause. */
   private def clauseExprs(c: ClauseAst): List[ExprAst] = c match {
@@ -231,18 +270,33 @@ object Translator {
     case _                    => Nil
   }
 
-  /** (used, usedOnlyAsCountArgument) for variable `v` in `ast`. A nested
-    * FLWOR that rebinds `v` is conservatively reported as a non-count use,
-    * so the group-by falls back to materializing. */
-  private def usage(ast: ExprAst, v: String): (Boolean, Boolean) = ast match {
-    case VarRefExpr(`v`) => (true, false)
-    case FunctionCallExpr("count", List(VarRefExpr(`v`))) => (true, true)
-    case FlworExpr(cs, _) if cs.flatMap(clauseBoundVars).contains(v) => (true, false)
-    case other =>
-      val subs      = childrenOf(other).map(usage(_, v))
-      val used      = subs.exists(_._1)
-      val onlyCount = subs.filter(_._1).forall(_._2)
-      (used, used && onlyCount)
+  /** How an expression uses a variable `$v`: whether at all; whether only
+    * as `count($v)` (§4.7); and the top-level keys it reads of `$v` when
+    * every use is `$v.key` or `count($v)`, else `None`. */
+  private final case class Usage(used: Boolean, onlyCount: Boolean, keys: Option[Set[String]])
+
+  private object Usage {
+    val unused: Usage = Usage(used = false, onlyCount = false, Some(Set.empty))
+    val whole: Usage  = Usage(used = true, onlyCount = false, None)
+
+    /** The uses of several expressions together. */
+    def of(uses: Seq[Usage]): Usage = {
+      val used = uses.exists(_.used)
+      Usage(used, used && uses.filter(_.used).forall(_.onlyCount),
+        uses.foldLeft(unused.keys)((ks, u) => for (a <- ks; b <- u.keys) yield a ++ b))
+    }
+  }
+
+  /** The use of variable `v` in `ast`. A nested FLWOR that rebinds `v` is
+    * conservatively reported as a use of the whole value, so the group-by
+    * falls back to materializing and the read is not projected. */
+  private def usage(ast: ExprAst, v: String): Usage = ast match {
+    case VarRefExpr(`v`) => Usage.whole
+    case FunctionCallExpr("count", List(VarRefExpr(`v`))) =>
+      Usage(used = true, onlyCount = true, Some(Set.empty))
+    case ObjectLookupExpr(VarRefExpr(`v`), k) => Usage(used = true, onlyCount = false, Some(Set(k)))
+    case FlworExpr(cs, _) if cs.flatMap(clauseBoundVars).contains(v) => Usage.whole
+    case other => Usage.of(childrenOf(other).map(usage(_, v)))
   }
 
   /** Replace `count($v)` with `$v#count` everywhere in `ast`. */

@@ -212,6 +212,15 @@ class DataFrameFlworSpec extends RumbleSpec {
     assert(back.map(_.numericDouble).toSet == Set(8.0, 9.0, 10.0))
   }
 
+  test("writeJsonLines writes an unpaired surrogate as its escape, so it reads back") {
+    val out = new java.io.File(
+      java.nio.file.Files.createTempDirectory("rumble-out").toFile, "res").getAbsolutePath
+    val q = "for $s in parallelize((\"a\\ud83db\", \"\\ude00\", \"😀\"), 2) return {\"s\": $s}"
+    rumble.writeJsonLines(q, out)
+    assert(ser(rumble.run(s"""json-file("$out")""")) == ser(rumble.run(q)))
+    assert(rumble.run(s"""json-file("$out").s""").head == StringItem("a\ud83db"))
+  }
+
   // ------------------------------------------------------- path pins
 
   private lazy val confusionFile = tempJsonFile("paths", Seq(
@@ -239,6 +248,33 @@ class DataFrameFlworSpec extends RumbleSpec {
     // the group's $i is only counted (§4.7 CountOnly)
     val group = rumble.compile(RumbleQueries.group(confusionFile)).asInstanceOf[FlworIterator]
     assert(group.last.vars.toSet == Set("target", "i#count"))
+  }
+
+  test("kept-key pin: json-file builds only the keys each paper query reads") {
+    def kept(q: String, counting: Boolean) =
+      rumble.compile(q).asInstanceOf[FlworIterator].keptKeys(counting)
+    val filter = RumbleQueries.filter(confusionFile)
+    val letWhere =
+      s"""for $$i in json-file("$confusionFile")
+         |let $$g := $$i.guess
+         |let $$t := $$i.target
+         |where $$g eq $$t
+         |return $$i""".stripMargin
+    val guessTarget = Some(Set("guess", "target"))
+    // runCount counts the tuples and never evaluates `return $i`; run does
+    assert(kept(filter, counting = true) == guessTarget)
+    assert(kept(filter, counting = false) == None)
+    assert(kept(letWhere, counting = true) == guessTarget)
+    // the group's count($i) reads no key
+    val group = RumbleQueries.group(confusionFile)
+    assert(kept(group, counting = true) == Some(Set("target")))
+    assert(kept(group, counting = false) == Some(Set("target")))
+    // the sort writes whole objects; only a count of it reads just its keys
+    val sort = RumbleQueries.sort(confusionFile)
+    assert(kept(sort, counting = false) == None)
+    assert(kept(sort, counting = true) == Some(Set("guess", "target", "country", "date")))
+    assert(rumble.runCount(filter) == 1 && rumble.runCount(letWhere) == 1)
+    assert(evalSpark(filter) == evalLocal(filter))
   }
 
   test("a rebinding drops the shadowed variable from the tuple stream (§4.5)") {
@@ -338,12 +374,12 @@ class DataFrameFlworSpec extends RumbleSpec {
       .asInstanceOf[OrderByClauseIterator]
     val ctx = DynamicContext.root(RumbleConf())
     try {
-      val sorted = order.sortedFrame(ctx)
+      val sorted = order.sortedFrame(ctx, None)
       val plan   = sorted.queryExecution.sparkPlan
       val udfs   = plan.collect { case p => p.expressions.flatMap(_.collect { case u: ScalaUDF => u }) }
       assert(udfs.flatten.isEmpty, plan)
       val exchanges = plan.collect { case e: ShuffleExchangeExec => e.outputPartitioning }
-      val inputParts = order.parent.get.tupleRdd(ctx).getNumPartitions
+      val inputParts = order.parent.get.tupleRdd(ctx, None).getNumPartitions
       assert(exchanges.size == 1, plan)
       exchanges.head match {
         case r: RangePartitioning => assert(r.numPartitions == inputParts)
@@ -361,7 +397,7 @@ class DataFrameFlworSpec extends RumbleSpec {
     val order = rumble.compile(q).asInstanceOf[FlworIterator].last
       .asInstanceOf[OrderByClauseIterator]
     val ctx = DynamicContext.root(RumbleConf())
-    try assert(jobsStarted(order.sortedFrame(ctx)) == 1)
+    try assert(jobsStarted(order.sortedFrame(ctx, None)) == 1)
     finally ctx.releasePersisted()
     // the type pass, the range sampling, the exchange's map stage and the
     // one collect to the driver
@@ -383,7 +419,7 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   /** Per partition of the GROUP BY's input: (rows, distinct encoded keys). */
   private def partialRows(q: String): Seq[(Int, Int)] = {
-    val frame = groupOf(q).partialFrame(DynamicContext.root(RumbleConf()))
+    val frame = groupOf(q).partialFrame(DynamicContext.root(RumbleConf()), None)
     frame.rdd.mapPartitions { rows =>
       val keys = rows.map(r => (r.getInt(0), r.getString(1), r.getDouble(2))).toVector
       Iterator.single((keys.size, keys.distinct.size))

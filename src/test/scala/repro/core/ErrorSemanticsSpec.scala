@@ -122,10 +122,12 @@ class ErrorSemanticsSpec extends RumbleSpec {
 
   /** Every way to run a query over `path` raises JNDY0021: `run` and
     * `runCount`, on Spark and under `forceLocal`, for the bare read, a
-    * navigation and a FLWOR. Returns the messages on Spark and locally. */
+    * navigation and FLWORs, two of which read only some keys of each object
+    * on Spark. Returns the messages on Spark and locally. */
   private def invalidJson(path: String): (String, String) = {
     val queries = Seq(s"""json-file("$path")""", s"""json-file("$path").a""",
-      s"""for $$o in json-file("$path") where $$o.a eq 1 return $$o""")
+      s"""for $$o in json-file("$path") where $$o.a eq 1 return $$o""",
+      s"""for $$o in json-file("$path") where $$o.a eq 1 return $$o.b""")
     for (q <- queries; r <- Seq(rumble, rumbleLocal)) {
       expectError(q, "JNDY0021")(r.run)
       expectError(q, "JNDY0021")(r.runCount)
@@ -146,6 +148,14 @@ class ErrorSemanticsSpec extends RumbleSpec {
     val (onSpark, local) = invalidJson(path)
     assert(onSpark.contains("byte offset 9"), onSpark)
     assert(local.contains("line 2"), local)
+  }
+
+  test("an invalid value under a key the query does not read raises JNDY0021") {
+    val path = tempJsonFile("bad-skipped-value",
+      Seq(goodLine, """{"a": 1, "b": [1, tru]}""", """{"a": 1, "b": 01}"""))
+    val (onSpark, local) = invalidJson(path)
+    assert(onSpark.contains(path) && onSpark.contains("byte offset 9"), onSpark)
+    assert(local.contains(path) && local.contains("line 2"), local)
   }
 
   test("json-file on a missing local file errors") {

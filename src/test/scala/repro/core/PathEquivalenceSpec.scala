@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.runtime.flwor.{FlworPath, GroupByClauseIterator}
+import repro.core.runtime.flwor.{FlworIterator, FlworPath, GroupByClauseIterator}
 import repro.datasets.HeterogeneousData
 
 /** One answer per query: FLWOR shapes that mix narrow clauses with the
@@ -172,6 +172,95 @@ class PathEquivalenceSpec extends RumbleSpec {
     test(s"Spark and local agree on count(...): $shape") {
       val c = s"count($q)"
       assert(outcome(rumble, c) == outcome(rumbleLocal, c), c)
+    }
+  }
+
+  // objects with the kept key present, missing, repeated, written with an
+  // escape and past the 12 fields a lookup scans; and lines that are not
+  // objects
+  private lazy val messy = tempJsonFile("projection-paths", Seq(
+    """{"a": 1, "b": "x", "c": [1, 2], "d": {"a": 9}}""",
+    """{"a": 2, "b": "y", "a": 3}""",
+    "{\"a\": 4, \"gu\\u0065ss\": \"g\", \"b\": \"z\", \"\\u0061\": 10}",
+    """{"b": "no a", "c": []}""",
+    (1 to 14).map(i => s""""k$i": $i""").mkString("""{"a": 5, """, ", ", """, "a": 6}"""),
+    """[1, {"a": 7}]""", "\"a string\"", "8", "{}"))
+
+  /** (shape, query, the keys `run` builds of each object: `None` whole). */
+  private def projections: Seq[(String, String, Option[Set[String]])] = Seq(
+    ("$o.a in a where, $o.b in the return",
+     s"""for $$o in json-file("$messy") where $$o.a ge 2 return $$o.b""", Some(Set("a", "b"))),
+    ("a missing kept key",
+     s"""for $$o in json-file("$messy") return [$$o.a]""", Some(Set("a"))),
+    ("a repeated kept key, also in an object wider than 12 fields",
+     s"""for $$o in json-file("$messy") where exists($$o.a) return $$o.a""", Some(Set("a"))),
+    ("kept keys written with escapes",
+     s"""for $$o in json-file("$messy") return [$$o.a, $$o.guess]""", Some(Set("a", "guess"))),
+    ("count($o) reads no key; lines that are not objects",
+     s"""for $$o in json-file("$messy") group by $$k := $$o.b order by $$k
+        |return {"k": $$k, "n": count($$o)}""".stripMargin, Some(Set("b"))),
+    ("a second for binding reads $o.c",
+     s"""for $$o in json-file("$messy"), $$p in $$o.c[] return [$$o.a, $$p]""",
+     Some(Set("a", "c"))),
+    ("a nested FLWOR that does not rebind $o",
+     s"""for $$o in json-file("$messy") let $$x := (for $$y in $$o.c[] return $$y * 2)
+        |return [$$x]""".stripMargin, Some(Set("c"))),
+    // each use below may read the whole object
+    ("a bare $o", s"""for $$o in json-file("$messy") where $$o.a eq 1 return $$o""", None),
+    ("$o[]", s"""for $$o in json-file("$messy") return $$o[]""", None),
+    ("$o[[i]]", s"""for $$o in json-file("$messy") return $$o[[2]]""", None),
+    ("$o[p]", s"""for $$o in json-file("$messy") return $$o[exists($$$$.a)].b""", None),
+    ("$o as the argument of another function",
+     s"""for $$o in json-file("$messy") where exists($$o.a) return [keys($$o)]""", None),
+    ("a nested FLWOR that rebinds $o",
+     s"""for $$o in json-file("$messy") let $$x := (for $$o in $$o.c[] return $$o)
+        |return [$$x]""".stripMargin, None),
+    ("a later clause that rebinds $o",
+     s"""for $$o in json-file("$messy") let $$o := $$o.a return $$o""", None),
+  )
+
+  for ((shape, q, keys) <- projections) {
+    test(s"Spark and local agree on a projected json-file read: $shape") {
+      assert(rumble.compile(q).asInstanceOf[FlworIterator].keptKeys(counting = false) == keys)
+      checkAgainstLocal(q)
+      val c = s"count($q)"
+      assert(outcome(rumble, c) == outcome(rumbleLocal, c), c)
+    }
+  }
+
+  /** Predicates that select by position for some items or all of them,
+    * and a boolean one, over several partitions. */
+  private def predicates: Seq[(String, String)] = Seq(
+    ("a positional predicate", "parallelize((5, 6, 7), 3)[2]"),
+    ("a boolean predicate", "parallelize((5, 6, 7), 3)[$$ eq 6]"),
+    ("a predicate numeric for some items and boolean for others",
+     "parallelize((3, 1, 4, 1, 5, 9, 2, 6), 3)[if ($$ gt 2) then 3 else $$ eq 1]"),
+    ("a positional predicate past the end", "parallelize((5, 6, 7), 2)[4]"),
+  )
+
+  for ((shape, q) <- predicates)
+    test(s"Spark and local agree: $shape") {
+      checkAgainstLocal(q)
+    }
+
+  test("positional predicates select the same items on Spark as locally") {
+    assert(evalSpark(predicates.head._2) == "6")
+    assert(evalSpark(predicates(2)._2) == "1, 4, 1")
+  }
+
+  test("Spark and local agree: integer overflow promotes to decimal, in arithmetic and in sum") {
+    val max = Long.MaxValue
+    for ((q, expected) <- Seq(
+      s"for $$x in parallelize(($max, 1, -5), 3) return $$x + 1" ->
+        "9223372036854775808, 2, -4",
+      s"for $$x in parallelize(($max, 2), 2) return ($$x * 2, -$$x - 2)" ->
+        "18446744073709551614, -9223372036854775809, 4, -4",
+      s"sum(parallelize(($max, 1, 1, 1), 4))" -> "9223372036854775810",
+      s"sum(parallelize(($max, 1, -1, $max, -$max), 3))" -> "9223372036854775807",
+      s"sum(parallelize(($max, 1, 0.5), 2))" -> "9.223372036854776E18",
+      s"sum(parallelize((-$max, -2), 2))" -> "-9223372036854775809")) {
+      assert(outcome(rumble, q) == outcome(rumbleLocal, q), q)
+      assert(evalSpark(q) == expected, q)
     }
   }
 

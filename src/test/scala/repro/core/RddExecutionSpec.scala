@@ -38,13 +38,12 @@ class RddExecutionSpec extends RumbleSpec {
     assert(evalSpark("parallelize(1 to 10)[$$ mod 3 eq 0]") == "3, 6, 9")
   }
 
-  test("positional predicate on the RDD path is rejected") {
-    // the dynamic error is raised inside the Spark task and surfaces
-    // wrapped in the job-failure exception
-    val e = intercept[Exception](rumble.run("parallelize(1 to 10)[3]"))
-    def messages(t: Throwable): List[String] =
-      if (t == null) Nil else t.getMessage :: messages(t.getCause)
-    assert(messages(e).exists(m => m != null && m.contains("RBML0002")))
+  test("positional predicate on the RDD path selects by position") {
+    assert(evalSpark("parallelize(1 to 10, 3)[3]") == "3")
+    // the items are numbered with zipWithIndex, one more Spark job than a
+    // predicate that is provably boolean, which stays a plain filter
+    assert(jobsStarted(evalSpark("parallelize(1 to 10, 3)[3]")) == 2)
+    assert(jobsStarted(evalSpark("parallelize(1 to 10, 3)[$$ mod 3 eq 0]")) == 1)
   }
 
   test("count/sum/avg/min/max as Spark actions") {
@@ -155,6 +154,16 @@ class RddExecutionSpec extends RumbleSpec {
       assert(evalSpark(q) ==
         """{"s" : "é€😀", "n" : 1}, ["ü", "aé\n"], "日本語", {"n" : 2}, {"n" : 3}""")
     }
+  }
+
+  test("json-file: a byte that is not UTF-8 reads as U+FFFD on Spark and locally") {
+    val f = java.io.File.createTempFile("rdd-json-bad-utf8", ".json")
+    f.deleteOnExit()
+    java.nio.file.Files.write(f.toPath,
+      "{\"a\": \"".getBytes("UTF-8") ++ Array(0xff.toByte) ++ "\"}\n{\"a\": 2}\n".getBytes("UTF-8"))
+    val q = s"""json-file("${f.getAbsolutePath}")"""
+    checkAgainstLocal(q)
+    assert(evalLocal(q) == "{\"a\" : \"\uFFFD\"}, {\"a\" : 2}")
   }
 
   test("local API over an RDD-backed expression collects seamlessly (§5.5)") {

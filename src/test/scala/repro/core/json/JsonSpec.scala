@@ -4,6 +4,7 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.model._
+import repro.datasets.HeterogeneousData
 
 /** Unit + property tests for the streaming JSON parser and the writer
   * (ScalaCheck generators sampled directly — the scalatest-plus bridge is
@@ -39,12 +40,33 @@ class JsonSpec extends AnyFunSuite {
     assert(JsonParser.parse("999999999999999999") == IntItem(999999999999999999L))
   }
 
+  /** `text` through the projected reader, keeping the keys `keep`. */
+  private def projected(text: String, keep: String*): Item = {
+    val b = text.getBytes("UTF-8")
+    JsonParser.parseBytes(b, 0, b.length, new JsonParser.Keys(keep.toSet))
+  }
+
   test("number edge cases") {
     assert(JsonParser.parse("-0") == IntItem(0))
     assert(JsonParser.parse("007") == IntItem(7))
     assert(JsonParser.parse("1E+2") == DoubleItem(100.0))
     assert(JsonParser.parse("-0.0") == DoubleItem(-0.0))
     assert(JsonParser.parse("[-1,2e0]") == ArrayItem(Vector(IntItem(-1), DoubleItem(2.0))))
+    // messy but unambiguous forms are read as the number they denote
+    // (DESIGN.md, messy input), by the full reader and as a skipped value
+    val lenient = Seq("01" -> IntItem(1), "-01" -> IntItem(-1), "1." -> DoubleItem(1.0),
+      "1.e5" -> DoubleItem(100000.0), "-.5" -> DoubleItem(-0.5))
+    for ((text, item) <- lenient) {
+      assert(JsonParser.parse(text) == item, text)
+      assert(projected(s"""{"skip": $text, "k": 1}""", "k") ==
+        ObjectItem(Vector("k" -> IntItem(1))), text)
+    }
+    // a form with no digit in its mantissa or exponent is not a number
+    for (text <- Seq("-", "-.", "1e")) {
+      assert(intercept[RumbleException](JsonParser.parse(text)).code == "JNDY0021", text)
+      assert(intercept[RumbleException](
+        projected(s"""{"skip": $text, "k": 1}""", "k")).code == "JNDY0021", text)
+    }
   }
 
   test("strings: non-ASCII, escapes between multi-byte characters, over 64 KiB") {
@@ -124,6 +146,41 @@ class JsonSpec extends AnyFunSuite {
     }
   }
 
+  test("the projected reader rejects each of them as a skipped value, a kept value and a key") {
+    for (r <- rejects; line <- Seq(s"""{"skip": $r, "k": 1}""", s"""{"k": $r}""",
+                                   s"""{"k": 1, $r: 2}""", s"""{$r: 2, "k": 1}""")) {
+      val e = intercept[RumbleException](projected(line, "k"))
+      assert(e.code == "JNDY0021", line)
+      assert(intercept[RumbleException](JsonParser.parse(line)).code == "JNDY0021", line)
+    }
+  }
+
+  test("the projected reader builds only the kept keys of a top-level object") {
+    val line = """{"a": {"k": 1, "z": 2}, "k": [1, {"x": 0}], "z": "é", "k": null, "b": -1.5e3}"""
+    assert(projected(line, "k") ==
+      ObjectItem(Vector("k" -> JsonParser.parse("""[1, {"x": 0}]"""), "k" -> NullItem)))
+    // a nested object is built whole
+    assert(projected(line, "a") == ObjectItem(Vector("a" -> JsonParser.parse("""{"k": 1, "z": 2}"""))))
+    assert(projected(line, "missing") == ObjectItem(Vector.empty))
+    assert(projected(line) == ObjectItem(Vector.empty))
+    assert(projected(line, "a", "k", "z", "b") == JsonParser.parse(line))
+    // a key with escapes is decoded before it is compared
+    assert(projected("{\"gu\\u0065ss\": 1, \"g\\\"\": 2, \"guess\": 3}", "guess", "g\"") ==
+      ObjectItem(Vector("guess" -> IntItem(1), "g\"" -> IntItem(2), "guess" -> IntItem(3))))
+    assert(projected("""{"é": 1, "e": 2}""", "é") == ObjectItem(Vector("é" -> IntItem(1))))
+    // other lines are read whole
+    for (other <- Seq("""[{"k": 1, "z": 2}]""", "\"k\"", "12", "null", " true "))
+      assert(projected(other, "k") == JsonParser.parse(other), other)
+  }
+
+  test("the projected reader decodes a key that is not valid UTF-8 when a kept key holds U+FFFD") {
+    val b = Array[Byte]('{', '"', 'a', 0xff.toByte, '"', ':', '1', ',', '"', 'b', '"', ':', '2', '}')
+    val full = JsonParser.parseBytes(b, 0, b.length)
+    assert(full.lookup("a\uFFFD").contains(IntItem(1)))
+    val kept = JsonParser.parseBytes(b, 0, b.length, new JsonParser.Keys(Set("a\uFFFD")))
+    assert(kept == ObjectItem(Vector("a\uFFFD" -> IntItem(1))))
+  }
+
   test("writer forms") {
     assert(JsonWriter.write(IntItem(5)) == "5")
     assert(JsonWriter.write(DoubleItem(2.5)) == "2.5")
@@ -169,6 +226,24 @@ class JsonSpec extends AnyFunSuite {
     }
   }
 
+  test("an unpaired surrogate is written as its escape and round-trips") {
+    val lone = JsonParser.parse("\"a\\ud83db\"")
+    assert(lone == StringItem("a\ud83db"))
+    assert(JsonWriter.write(lone) == "\"a\\ud83db\"")
+    assert(JsonParser.parse(JsonWriter.write(lone)) == lone)
+    for (s <- Seq("\ude00", "x\ude00\ud83d", "\ud83d", "\ud83d\ude00\ud83d"))
+      assert(JsonParser.parse(JsonWriter.write(StringItem(s))) == StringItem(s), s)
+    // a pair is written as it is
+    assert(JsonWriter.write(StringItem("\ud83d\ude00")) == "\"😀\"")
+  }
+
+  test("property: strings of any UTF-16 chars round-trip, unpaired surrogates included") {
+    forAllSamples(Gen.stringOf(Gen.frequency(
+        3 -> Gen.choose(Char.MinValue, Char.MaxValue), 1 -> Gen.choose('\ud800', '\udfff'))), 500) { s =>
+      assert(JsonParser.parse(JsonWriter.write(StringItem(s))) == StringItem(s))
+    }
+  }
+
   test("property: strings with special characters round-trip") {
     forAllSamples(Gen.asciiPrintableStr) { s =>
       assert(JsonParser.parse(JsonWriter.write(StringItem(s))) == StringItem(s))
@@ -180,6 +255,48 @@ class JsonSpec extends AnyFunSuite {
       assert(JsonParser.parse(JsonWriter.write(StringItem(s))) == StringItem(s))
       val bytes = JsonWriter.write(StringItem(s)).getBytes("UTF-8")
       assert(JsonParser.parseBytes(bytes, 0, bytes.length) == StringItem(s))
+    }
+  }
+
+  // ---- the projected reader against the full one
+
+  /** A line, and keys to keep (some of the valid line's keys and one it
+    * lacks): JSON items as the writer writes them, objects whose generated
+    * keys may repeat, and `HeterogeneousData` lines; some cut short or with
+    * one char replaced, so that many are invalid. */
+  private val lineGen: Gen[(String, Set[String])] = for {
+    valid <- Gen.oneOf(
+      itemGen(3).map(JsonWriter.write),
+      Gen.listOfN(4, Gen.zip(Gen.oneOf(Gen.alphaNumStr, unicodeStrGen), itemGen(2)))
+        .map(l => JsonWriter.write(ObjectItem(l.toVector))),
+      Gen.choose(0L, 1000L).map(HeterogeneousData.fig5Line(_, 12L)),
+      Gen.choose(0L, 1000L).map(HeterogeneousData.fig7Line(_, 11L)))
+    cut  <- Gen.choose(0, valid.length)
+    at   <- Gen.choose(0, math.max(0, valid.length - 1))
+    byte <- Gen.oneOf("{}[]\":,\\ eE.+-0un1tx".toSeq)
+    line <- Gen.frequency(
+      4 -> valid,
+      1 -> valid.take(cut),
+      1 -> (if (valid.isEmpty) valid else valid.updated(at, byte)))
+    keys <- Gen.someOf(JsonParser.parse(valid) match {
+      case o: ObjectItem => o.keys :+ "missing"
+      case _             => Vector("missing")
+    })
+  } yield (line, keys.toSet)
+
+  test("property: the projected reader accepts exactly what the full reader accepts, with equal lookups") {
+    def read(f: => Item): Either[String, Item] =
+      try Right(f) catch { case e: RumbleException => Left(e.code) }
+    forAllSamples(lineGen, 2000) { case (line, keys) =>
+      val b    = line.getBytes("UTF-8")
+      val full = read(JsonParser.parseBytes(b, 0, b.length))
+      val kept = read(JsonParser.parseBytes(b, 0, b.length, new JsonParser.Keys(keys)))
+      assert(full.isRight == kept.isRight, line)
+      assert(kept.left.forall(_ == "JNDY0021"), line)
+      for (f <- full; k <- kept) {
+        if (f.isObject) keys.foreach(key => assert(k.lookup(key) == f.lookup(key), s"$key in $line"))
+        else assert(k == f, line)
+      }
     }
   }
 }
