@@ -1,9 +1,10 @@
 package repro.core.json
 
-import java.io.{File, FileInputStream}
 import java.nio.charset.StandardCharsets.{ISO_8859_1, UTF_8}
+import org.apache.hadoop.conf.Configuration
+import org.apache.hadoop.fs.FileStatus
 import org.apache.hadoop.io.{LongWritable, Text}
-import org.apache.hadoop.mapred.TextInputFormat
+import org.apache.hadoop.mapred.{FileInputFormat, JobConf, TextInputFormat}
 import org.apache.hadoop.util.LineReader
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
@@ -17,9 +18,10 @@ import repro.core.model._
   * paper relies on for its "CPU-bound JSON parsing" observation in §6.3.
   *
   * Accepts one JSON value per call (`parseBytes`, or `parse` on a string)
-  * or one value per line (`parseLine`, and `readLines` and `readFile`, the
-  * JSON-Lines contract). Given the keys a query reads, it builds only those
-  * members of a top-level object and checks the rest without building them.
+  * or one value per line (`parseLine`, and `readLines` and `readFiles`, the
+  * JSON-Lines contract, over the files `inputFiles` lists). Given the keys a
+  * query reads, it builds only those members of a top-level object and
+  * checks the rest without building them.
   * Invalid JSON raises [[JsonParser.Invalid]], code JNDY0021.
   */
 object JsonParser {
@@ -86,21 +88,54 @@ object JsonParser {
     def find(key: String): String = if (names.contains(key)) key else null
   }
 
-  /** `json-file` on Spark: the JSON-Lines file(s) at `path` in at least
-    * `parts` partitions, one item per line. Each Hadoop `Text` record is
-    * parsed in place from its UTF-8 bytes (Spark's `textFile` does the same
-    * read and then decodes every line to a `String`). A line that holds only
-    * whitespace and control characters is skipped; the bytes compare
-    * unsigned, so a line of non-ASCII characters is parsed, not skipped. An
-    * invalid line raises JNDY0021 naming `path` and the line's byte offset. */
+  /** The files `json-file(path)` reads, in the order it reads them, on
+    * Spark and locally alike. `path` is a Hadoop path pattern (a glob;
+    * commas separate several). Each file it matches is read, and each
+    * directory it matches is replaced by the files directly in it; its
+    * subdirectories are not read. A name that starts with `_` or `.` is
+    * hidden, as in Hadoop (`_SUCCESS`, `.crc` checksums), and is not read.
+    * The files are sorted by path. A pattern that matches nothing raises
+    * FODC0002 naming it.
+    *
+    * Only `globStatus` and `listStatus` are called. Hadoop's own listing
+    * builds a `LocatedFileStatus` per file, which on a local file system
+    * without native Hadoop forks an `ls` per file to read its permissions. */
+  def inputFiles(path: String, conf: Configuration): Array[FileStatus] = {
+    val job = new JobConf(conf)
+    FileInputFormat.setInputPaths(job, path)
+    inputFiles(job)
+  }
+
+  /** `inputFiles` of the paths set in `job`, as `FileInputFormat` holds them. */
+  def inputFiles(job: JobConf): Array[FileStatus] = {
+    def hidden(s: FileStatus) = s.getPath.getName.startsWith("_") || s.getPath.getName.startsWith(".")
+    FileInputFormat.getInputPaths(job).flatMap { pattern =>
+      val fs      = pattern.getFileSystem(job)
+      val matched = Option(fs.globStatus(pattern)).getOrElse(Array.empty[FileStatus]).filterNot(hidden)
+      if (matched.isEmpty) throw new RumbleException("FODC0002", s"json-file: no file matches $pattern")
+      matched.flatMap(m => if (m.isDirectory) fs.listStatus(m.getPath).filterNot(hidden) else Array(m))
+    }.filter(_.isFile).sortBy(_.getPath.toString)
+  }
+
+  /** `json-file` on Spark: the JSON-Lines files `inputFiles` lists for
+    * `path`, in at least `parts` partitions, one item per line. The listing
+    * runs here, on the driver, so a path that matches nothing fails before
+    * any Spark job. Each Hadoop `Text` record is parsed in place from its
+    * UTF-8 bytes (Spark's `textFile` does the same read and then decodes
+    * every line to a `String`). A line that holds only whitespace and
+    * control characters is skipped; the bytes compare unsigned, so a line of
+    * non-ASCII characters is parsed, not skipped. An invalid line raises
+    * JNDY0021 naming `path` and the line's byte offset. */
   def readLines(sc: SparkContext, path: String, parts: Int): RDD[Item] = readLines(sc, path, parts, None)
 
   /** `readLines`, building of each object line only the top-level `keys`
     * when given (see `parseBytes`). */
   def readLines(sc: SparkContext, path: String, parts: Int, keys: Option[Set[String]]): RDD[Item] = {
-    val kept = keys.map(new Keys(_)).orNull
-    sc.hadoopFile[LongWritable, Text, TextInputFormat](path, parts).mapPartitions { records =>
-      records
+    val kept    = keys.map(new Keys(_)).orNull
+    val records = sc.hadoopFile[LongWritable, Text, JsonInputFormat](path, parts)
+    records.partitions // lists the input now
+    records.mapPartitions { lines =>
+      lines
         .filter { case (_, line) => !isBlank(line.getBytes, line.getLength) }
         .map { case (offset, line) =>
           try parseBytes(line.getBytes, 0, line.getLength, kept)
@@ -109,29 +144,40 @@ object JsonParser {
     }
   }
 
-  /** `json-file` without Spark: the lines of `file`, split as Hadoop's
-    * `TextInputFormat` splits them (at LF, CR or CRLF), skipped when blank
-    * and parsed from their bytes as `readLines` does, so both paths read a
-    * file alike. An invalid line raises JNDY0021 naming `file` and the
-    * line's number. */
-  def readFile(file: File): Iterator[Item] = {
-    val in    = new FileInputStream(file)
-    val lines = new LineReader(in)
-    val line  = new Text
-    Iterator.from(1)
-      .takeWhile(_ => lines.readLine(line) > 0 || { in.close(); false })
-      .filter(_ => !isBlank(line.getBytes, line.getLength))
-      .map { n =>
-        try parseBytes(line.getBytes, 0, line.getLength)
-        catch { case e: Invalid => throw e.at(s"json-file $file, line $n") }
-      }
-  }
+  /** `json-file` without Spark: the lines of the files `inputFiles` lists
+    * for `path`, split as Hadoop's `TextInputFormat` splits them (at LF, CR
+    * or CRLF), skipped when blank and parsed from their bytes as
+    * `readLines` does, so both paths read the same items in the same order.
+    * An invalid line raises JNDY0021 naming its file and its number. */
+  def readFiles(path: String): Iterator[Item] =
+    inputFiles(path, localConf).iterator.flatMap { file =>
+      val in    = file.getPath.getFileSystem(localConf).open(file.getPath)
+      val lines = new LineReader(in)
+      val line  = new Text
+      Iterator.from(1)
+        .takeWhile(_ => lines.readLine(line) > 0 || { in.close(); false })
+        .filter(_ => !isBlank(line.getBytes, line.getLength))
+        .map { n =>
+          try parseBytes(line.getBytes, 0, line.getLength)
+          catch { case e: Invalid => throw e.at(s"json-file ${file.getPath}, line $n") }
+        }
+    }
+
+  /** The Hadoop configuration of `readFiles`, shared by every call. */
+  private lazy val localConf = new Configuration()
 
   private def isBlank(bytes: Array[Byte], len: Int): Boolean = {
     var i = 0
     while (i < len && (bytes(i) & 0xff) <= ' ') i += 1
     i == len
   }
+}
+
+/** Hadoop's `TextInputFormat` over `JsonParser.inputFiles`: the splits and
+  * records of `TextInputFormat`, of the files the local reader reads, in
+  * the same order. */
+final class JsonInputFormat extends TextInputFormat {
+  override protected def listStatus(job: JobConf): Array[FileStatus] = JsonParser.inputFiles(job)
 }
 
 /** Parses the UTF-8 bytes of `b` in [`start`, `end`). Scanning bytes for

@@ -97,7 +97,11 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
           case "div"  => DoubleItem(x / y)
           case "idiv" =>
             if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
-            IntItem((x / y).toLong)
+            val q = x / y
+            if (q.isNaN || q.isInfinite)
+              throw new RumbleException("FOAR0002", s"$a idiv $b has no integer result")
+            // the exact value of the double quotient, truncated
+            Item.integer(BigDecimal(new java.math.BigDecimal(q).setScale(0, java.math.RoundingMode.DOWN)))
           case "mod"  => DoubleItem(x % y)
         }
     }

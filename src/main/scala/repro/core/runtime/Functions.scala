@@ -1,20 +1,21 @@
 package repro.core.runtime
 
-import java.io.File
 import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.core.json.JsonParser
 import repro.core.model._
 
-/** `json-file(path[, partitions])` (paper §5.7): reads a JSON-Lines file as
-  * a sequence of items. On the RDD path it is `JsonParser.readLines`, which
-  * parses each Hadoop `Text` record from its bytes, in `partitions`
-  * partitions or else Spark's default parallelism; on the local path
-  * (forced-local engines, closures) `JsonParser.readFile` reads the file
-  * without Spark, splitting and parsing its lines the same way. A line
-  * that is not JSON raises JNDY0021 naming the file and the line (its byte
-  * offset on Spark, its number locally).
+/** `json-file(path[, partitions])` (paper §5.7): reads JSON-Lines files as
+  * a sequence of items. Both paths read the files `JsonParser.inputFiles`
+  * lists for `path`, in its order; a path that matches no file raises
+  * FODC0002. On the RDD path it is `JsonParser.readLines`, which parses each
+  * Hadoop `Text` record from its bytes, in `partitions` partitions or else
+  * Spark's default parallelism; on the local path (forced-local engines,
+  * closures) `JsonParser.readFiles` reads the files without Spark, splitting
+  * and parsing their lines the same way. A line that is not JSON raises
+  * JNDY0021 naming the file and the line (its byte offset on Spark, its
+  * number locally).
   */
 final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[RuntimeIterator])
     extends RuntimeIterator {
@@ -41,14 +42,7 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
     JsonParser.readLines(sc, path(ctx), parts, keys)
   }
 
-  protected def compute(ctx: DynamicContext): Iterator[Item] = {
-    val f = new File(path(ctx))
-    val files: Seq[File] =
-      if (f.isDirectory)
-        f.listFiles().filter(x => x.isFile && x.getName.startsWith("part-")).sortBy(_.getName).toSeq
-      else Seq(f)
-    files.iterator.flatMap(JsonParser.readFile)
-  }
+  protected def compute(ctx: DynamicContext): Iterator[Item] = JsonParser.readFiles(path(ctx))
 }
 
 /** `parallelize(e[, partitions])`: materializes the child sequence on the

@@ -63,6 +63,18 @@ class ErrorSemanticsSpec extends RumbleSpec {
     expectError("1 mod 0", "FOAR0001")(rumbleLocal.run)
   }
 
+  test("idiv of a NaN or infinite dividend, or a NaN divisor, is FOAR0002") {
+    for (q <- Seq("(0e0 div 0) idiv 1", "(1e0 div 0) idiv 2", "(-1e0 div 0) idiv 2",
+                  "1 idiv (0e0 div 0)", "1e300 idiv 1e-300"))
+      expectError(q, "FOAR0002")(rumbleLocal.run)
+  }
+
+  test("a double idiv past the range of a Long is an integer, not a saturated Long") {
+    assert(evalLocal("1e19 idiv 1") == "10000000000000000000")
+    assert(evalLocal("-1e19 idiv 3") == "-3333333333333333504")
+    assert(evalLocal("1 idiv (1e0 div 0)") == "0")
+  }
+
   test("incomparable types in ordering comparisons (XPTY0004)") {
     expectError("1 lt \"a\"", "XPTY0004")(rumbleLocal.run)
     expectError("true gt 1", "XPTY0004")(rumbleLocal.run)
@@ -160,5 +172,21 @@ class ErrorSemanticsSpec extends RumbleSpec {
 
   test("json-file on a missing local file errors") {
     assertThrows[Exception](rumbleLocal.run("json-file(\"/nonexistent/file.json\")"))
+  }
+
+  test("json-file on a missing path or a pattern that matches nothing raises FODC0002 naming it, " +
+       "on Spark before any job") {
+    val dir = tempJsonDir("no-match", Seq("a.json" -> Seq(goodLine), "_x" -> Seq(goodLine)))
+    for (path <- Seq("/nonexistent/file.json", s"$dir/*.jsonl", s"$dir/_x", s"$dir/a.json,$dir/b.json")) {
+      val queries = Seq(s"""json-file("$path")""",
+        s"""for $$o in json-file("$path") group by $$k := $$o.a return $$k""")
+      for (q <- queries; r <- Seq(rumble, rumbleLocal); run <- Seq[String => Any](r.run, r.runCount)) {
+        val e = intercept[RumbleException](run(q))
+        assert(e.code == "FODC0002", s"$q: ${e.code} ${e.getMessage}")
+        assert(e.getMessage.contains(path.split(',').last), e.getMessage)
+      }
+      for (q <- queries)
+        assert(jobsStarted(intercept[RumbleException](rumble.runCount(q))) == 0, q)
+    }
   }
 }

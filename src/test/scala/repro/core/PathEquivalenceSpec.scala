@@ -264,6 +264,58 @@ class PathEquivalenceSpec extends RumbleSpec {
     }
   }
 
+  test("Spark and local agree: a double idiv truncates to an integer of any size") {
+    val q = """for $x in parallelize((1e19, 1.180591620717411303424e21, 7.5e0, -7.5e0, -1e19), 3)
+              |return ($x idiv 1, $x idiv 2, $x idiv (1e0 div 0))""".stripMargin
+    assert(outcome(rumble, q) == outcome(rumbleLocal, q), q)
+    assert(evalSpark(q) == Seq(
+      "10000000000000000000, 5000000000000000000, 0",
+      "1180591620717411303424, 590295810358705651712, 0",
+      "7, 3, 0", "-7, -3, 0",
+      "-10000000000000000000, -5000000000000000000, 0").mkString(", "))
+  }
+
+  test("Spark and local agree: idiv of a NaN or infinite dividend is FOAR0002") {
+    for (q <- Seq("for $x in parallelize((1e0, 0e0, -1e0), 3) return ($x div 0) idiv 1",
+                  "for $x in parallelize((1e300, 2e0), 2) return $x idiv 1e-300"))
+      assert(outcome(rumble, q) == Left("FOAR0002") && outcome(rumbleLocal, q) == Left("FOAR0002"), q)
+  }
+
+  // twelve part files written in shuffled order, so that the directory's
+  // own order is not the order of their names
+  private lazy val shuffledDir = tempJsonDir("shuffled-parts",
+    new scala.util.Random(7).shuffle((0 until 12).toList).map { i =>
+      f"part-$i%05d" -> Seq(s"""{"f": ${i * 10}}""", s"""{"f": ${i * 10 + 1}}""")
+    })
+
+  test("json-file over a directory reads its files in the order of their paths, on Spark and locally") {
+    val q = s"""for $$o in json-file("$shuffledDir") return $$o.f"""
+    checkAgainstLocal(q)
+    assert(evalSpark(q) == (0 until 12).flatMap(i => Seq(i * 10, i * 10 + 1)).mkString(", "))
+  }
+
+  test("json-file over a directory: [1] is the first file's first item, on Spark and locally") {
+    val q = s"""json-file("$shuffledDir")[1]"""
+    assert(evalSpark(q) == """{"f" : 0}""")
+    assert(evalLocal(q) == """{"f" : 0}""")
+  }
+
+  test("json-file over a directory reads every file not named as hidden, on Spark and locally") {
+    val dir = tempJsonDir("visible-files", Seq("b.json" -> Seq("""{"f": 2}"""),
+      "_x" -> Seq("""{"f": -1}"""), ".y" -> Seq("""{"f": -2}"""), "a.json" -> Seq("""{"f": 1}""")))
+    val q = s"""json-file("$dir").f"""
+    assert(evalSpark(q) == "1, 2")
+    assert(evalLocal(q) == "1, 2")
+  }
+
+  test("json-file over a directory does not read its subdirectories, on Spark and locally") {
+    val dir = tempJsonDir("with-subdir", Seq("sub/c.json" -> Seq("""{"f": 3}"""),
+      "a.json" -> Seq("""{"f": 1}""")))
+    val q = s"""for $$o in json-file("$dir") return $$o.f"""
+    checkAgainstLocal(q)
+    assert(evalSpark(q) == "1")
+  }
+
   test("the table's error rows raise errors and one row is empty") {
     val outcomes = shapes.map { case (_, q, _) => outcome(rumbleLocal, q) }
     assert(outcomes.count(_.isLeft) == 5)

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.json.CountingFileSystem
 import repro.core.model._
 import repro.core.runtime.DynamicContext
 import repro.core.runtime.flwor.FlworPath
@@ -164,6 +165,14 @@ class RddExecutionSpec extends RumbleSpec {
     val q = s"""json-file("${f.getAbsolutePath}")"""
     checkAgainstLocal(q)
     assert(evalLocal(q) == "{\"a\" : \"\uFFFD\"}, {\"a\" : 2}")
+  }
+
+  test("json-file on Spark lists a directory without listLocatedStatus") {
+    val dir = tempJsonDir("counted", Seq("b.json" -> Seq("""{"x": 2}"""), "a.json" -> Seq("""{"x": 1}""")))
+    spark.sparkContext.hadoopConfiguration.set("fs.countfs.impl", classOf[CountingFileSystem].getName)
+    CountingFileSystem.located.set(0)
+    assert(evalSpark(s"""json-file("countfs://$dir").x""") == "1, 2")
+    assert(CountingFileSystem.located.get == 0)
   }
 
   test("local API over an RDD-backed expression collects seamlessly (§5.5)") {

@@ -76,4 +76,25 @@ trait RumbleSpec extends SparkSpec {
     w.close()
     f.getAbsolutePath
   }
+
+  def tempJsonDir(name: String, files: Seq[(String, Seq[String])]): String =
+    RumbleSpec.tempJsonDir(name, files)
+}
+
+object RumbleSpec {
+
+  /** Temp directory of JSON-Lines files, `(name, lines)` written in the
+    * order given; a name may hold one subdirectory (`sub/x.json`). Deleted
+    * on JVM exit. */
+  def tempJsonDir(name: String, files: Seq[(String, Seq[String])]): String = {
+    val dir = java.nio.file.Files.createTempDirectory(name).toFile
+    dir.deleteOnExit()
+    for ((file, lines) <- files) {
+      val f = new java.io.File(dir, file)
+      if (f.getParentFile.mkdir()) f.getParentFile.deleteOnExit()
+      f.deleteOnExit()
+      java.nio.file.Files.write(f.toPath, lines.map(_ + "\n").mkString.getBytes("UTF-8"))
+    }
+    dir.getAbsolutePath
+  }
 }

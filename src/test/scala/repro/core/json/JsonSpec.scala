@@ -1,8 +1,14 @@
 package repro.core.json
 
+import java.net.URI
+import org.apache.hadoop.conf.Configuration
+import org.apache.hadoop.fs.{LocatedFileStatus, Path, RawLocalFileSystem, RemoteIterator}
+import org.apache.hadoop.mapred.{FileInputFormat, FileSplit, JobConf, TextInputFormat}
+import org.apache.hadoop.util.ReflectionUtils
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.RumbleSpec
 import repro.core.model._
 import repro.datasets.HeterogeneousData
 
@@ -299,4 +305,73 @@ class JsonSpec extends AnyFunSuite {
       }
     }
   }
+
+  /** A temp directory holding `files` (a name may hold one subdirectory),
+    * each one JSON line. */
+  private def dirWith(files: String*): java.io.File =
+    new java.io.File(RumbleSpec.tempJsonDir("input-files", files.map(n => n -> Seq(s"""{"file": "$n"}"""))))
+
+  private def listed(dir: java.io.File, path: String): Seq[String] =
+    JsonParser.inputFiles(path, new Configuration()).toSeq.map { s =>
+      s.getPath.toUri.getPath.stripPrefix(dir.getPath + "/")
+    }
+
+  private lazy val inputDir =
+    dirWith("b.json", "part-00001", "_SUCCESS", ".b.json.crc", "a.json", "sub/c.json", "9.json", "10.json")
+
+  test("inputFiles: a directory's files, sorted by path, without hidden names or subdirectories") {
+    assert(listed(inputDir, inputDir.getPath) == Seq("10.json", "9.json", "a.json", "b.json", "part-00001"))
+    assert(listed(inputDir, inputDir.getPath + "/") == listed(inputDir, inputDir.getPath))
+    val empty = dirWith()
+    assert(listed(empty, empty.getPath).isEmpty)
+  }
+
+  test("inputFiles: globs and comma-separated paths; a matched directory is read one level down") {
+    val d = inputDir.getPath
+    assert(listed(inputDir, s"$d/*.json") == Seq("10.json", "9.json", "a.json", "b.json"))
+    assert(listed(inputDir, s"$d/{b,a}.json") == Seq("a.json", "b.json"))
+    assert(listed(inputDir, s"$d/b.json,$d/a.json") == Seq("a.json", "b.json"))
+    assert(listed(inputDir, s"$d/*") == Seq("10.json", "9.json", "a.json", "b.json", "part-00001", "sub/c.json"))
+    assert(listed(inputDir, s"$d/sub") == Seq("sub/c.json"))
+  }
+
+  test("inputFiles: a path or pattern that matches no file, or only a hidden one, raises FODC0002 naming it") {
+    val d = inputDir.getPath
+    for (path <- Seq(s"$d/missing.json", s"$d/*.jsonl", s"$d/_SUCCESS", s"$d/a.json,$d/nope")) {
+      val e = intercept[RumbleException](JsonParser.inputFiles(path, new Configuration()))
+      assert(e.code == "FODC0002" && e.getMessage.contains(path.split(',').last), e.getMessage)
+    }
+  }
+
+  test("the Spark reader's splits are built without listLocatedStatus, one per file in listing order") {
+    val conf = new Configuration()
+    conf.set("fs.countfs.impl", classOf[CountingFileSystem].getName)
+    val job = new JobConf(conf)
+    FileInputFormat.setInputPaths(job, s"countfs://${inputDir.getPath}")
+    def splits(format: Class[_ <: TextInputFormat]): Seq[String] = {
+      CountingFileSystem.located.set(0)
+      ReflectionUtils.newInstance(format, job).getSplits(job, 1).toSeq
+        .map(_.asInstanceOf[FileSplit].getPath.getName)
+    }
+    assert(splits(classOf[JsonInputFormat]) == Seq("10.json", "9.json", "a.json", "b.json", "part-00001"))
+    assert(CountingFileSystem.located.get == 0)
+    // Hadoop's own listing, which the counter sees; it then fails reading
+    // the permissions of a file outside the `file` scheme
+    scala.util.Try(splits(classOf[TextInputFormat]))
+    assert(CountingFileSystem.located.get == 1)
+  }
+}
+
+/** The local file system under the scheme `countfs`, counting the calls of
+  * `listLocatedStatus`. */
+class CountingFileSystem extends RawLocalFileSystem {
+  override def getUri: URI = URI.create("countfs:///")
+  override def listLocatedStatus(f: Path): RemoteIterator[LocatedFileStatus] = {
+    CountingFileSystem.located.incrementAndGet()
+    super.listLocatedStatus(f)
+  }
+}
+
+object CountingFileSystem {
+  val located = new java.util.concurrent.atomic.AtomicInteger
 }
