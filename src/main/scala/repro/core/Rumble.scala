@@ -127,7 +127,7 @@ object Rumble {
           case None | Some(NullItem) => null
           case Some(v) =>
             t match {
-              case LongType    => v.numericDouble.toLong
+              case LongType    => v.asInstanceOf[IntItem].value
               case DoubleType  => v.numericDouble
               case BooleanType => v.booleanValue
               case _ =>

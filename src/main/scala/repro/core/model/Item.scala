@@ -41,6 +41,9 @@ sealed abstract class Item extends Serializable {
   /** Numeric value as double (integers, decimals, doubles). */
   def numericDouble: Double = throw new RumbleException("XPTY0004", s"not a number: $this")
 
+  /** Exact numeric value, a double's binary value (NaN and ±INF have none). */
+  def decimalValue: java.math.BigDecimal = throw new RumbleException("XPTY0004", s"not a number: $this")
+
   def booleanValue: Boolean = throw new RumbleException("XPTY0004", s"not a boolean: $this")
 
   /** Object member lookup; None for missing keys or non-objects. */
@@ -77,6 +80,7 @@ final case class IntItem(value: Long) extends AtomicItem {
   override def isNumeric: Boolean        = true
   override def isInteger: Boolean        = true
   override def numericDouble: Double     = value.toDouble
+  override def decimalValue: java.math.BigDecimal = java.math.BigDecimal.valueOf(value)
   override def effectiveBoolean: Boolean = value != 0L
   override def castToString: String      = value.toString
 }
@@ -84,6 +88,7 @@ final case class IntItem(value: Long) extends AtomicItem {
 final case class DoubleItem(value: Double) extends AtomicItem {
   override def isNumeric: Boolean        = true
   override def numericDouble: Double     = value
+  override def decimalValue: java.math.BigDecimal = new java.math.BigDecimal(value)
   override def effectiveBoolean: Boolean = value != 0.0 && !value.isNaN
   override def castToString: String =
     if (value == math.floor(value) && !value.isInfinite && math.abs(value) < 1e15)
@@ -94,6 +99,7 @@ final case class DoubleItem(value: Double) extends AtomicItem {
 final case class DecimalItem(value: BigDecimal) extends AtomicItem {
   override def isNumeric: Boolean        = true
   override def numericDouble: Double     = value.toDouble
+  override def decimalValue: java.math.BigDecimal = value.bigDecimal
   override def effectiveBoolean: Boolean = value.signum != 0
   override def castToString: String      = value.bigDecimal.toPlainString
 }
@@ -145,6 +151,10 @@ object Item {
     * `DecimalItem`, as JSON input and integer literals read past that range. */
   def integer(v: BigDecimal): Item = if (v.isValidLong) IntItem(v.toLong) else DecimalItem(v)
 
+  /** The integer part of `v`, truncated toward zero, as [[integer]]. */
+  def integerPart(v: java.math.BigDecimal): Item =
+    integer(BigDecimal(v.setScale(0, java.math.RoundingMode.DOWN)))
+
   /** Effective boolean value of a sequence (JSONiq): empty → false,
     * singleton → item EBV, multi-item starting with a node-ish item → true,
     * otherwise error. We keep the common cases. */
@@ -155,63 +165,4 @@ object Item {
       if (other.head.isObject || other.head.isArray) true
       else throw new RumbleException("FORG0006", s"EBV undefined for sequence of ${other.size}")
   }
-
-  /** Total order on comparable atomics: null < booleans < (strings|numbers).
-    * Strings and numbers are mutually incomparable (XPTY0004), matching the
-    * paper's order-by semantics (§4.8: "an error is thrown if there is a
-    * string and a number"). Two integers compare exactly as `Long`s. */
-  def compareAtomics(a: Item, b: Item): Int = (a, b) match {
-    case (NullItem, NullItem)                 => 0
-    case (NullItem, _)                        => -1
-    case (_, NullItem)                        => 1
-    case (BooleanItem(x), BooleanItem(y))     => java.lang.Boolean.compare(x, y)
-    case (IntItem(x), IntItem(y))             => java.lang.Long.compare(x, y)
-    case (x, y) if x.isNumeric && y.isNumeric =>
-      java.lang.Double.compare(x.numericDouble, y.numericDouble)
-    case (StringItem(x), StringItem(y))       => x.compareTo(y)
-    case _ =>
-      throw new RumbleException("XPTY0004", s"items not comparable: $a vs $b")
-  }
-
-  /** Atomic equality for value comparisons and grouping: null equals only
-    * null; two integers compare exactly, other numbers as doubles across
-    * numeric types; otherwise type + value. */
-  def atomicEquals(a: Item, b: Item): Boolean = (a, b) match {
-    case (NullItem, NullItem)                 => true
-    case (IntItem(x), IntItem(y))             => x == y
-    case (x, y) if x.isNumeric && y.isNumeric => x.numericDouble == y.numericDouble
-    case (StringItem(x), StringItem(y))       => x == y
-    case (BooleanItem(x), BooleanItem(y))     => x == y
-    case _                                    => false
-  }
-
-  /** The paper's group-by type-rank encoding (§4.7): 1 empty sequence,
-    * 2 null, 3 true, 4 false, 5 string, 6 number (7 = empty-greatest). */
-  def groupTypeRank(seq: Seq[Item], emptyGreatest: Boolean = false): Int =
-    if (seq.isEmpty) { if (emptyGreatest) 7 else 1 }
-    else if (seq.lengthCompare(1) > 0)
-      throw new RumbleException("XPTY0004", "grouping key must be a singleton or empty")
-    else seq.head match {
-      case NullItem             => 2
-      case BooleanItem(b)       => if (b) 3 else 4
-      case s if s.isString      => 5
-      case n if n.isNumeric     => 6
-      case other =>
-        throw new RumbleException("XPTY0004", s"grouping key must be atomic, got $other")
-    }
-
-  /** Order-by rank: empty least/greatest at the extremes, null, then
-    * false < true, then the single compatible value type. */
-  def orderTypeRank(seq: Seq[Item], emptyGreatest: Boolean): Int =
-    if (seq.isEmpty) { if (emptyGreatest) 9 else 0 }
-    else if (seq.lengthCompare(1) > 0)
-      throw new RumbleException("XPTY0004", "sort key must be a singleton or empty")
-    else seq.head match {
-      case NullItem         => 1
-      case BooleanItem(b)   => if (b) 3 else 2
-      case s if s.isString  => 4
-      case n if n.isNumeric => 5
-      case other =>
-        throw new RumbleException("XPTY0004", s"sort key must be atomic, got $other")
-    }
 }

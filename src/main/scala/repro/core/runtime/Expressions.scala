@@ -2,6 +2,7 @@ package repro.core.runtime
 
 import org.apache.spark.rdd.RDD
 import repro.core.model._
+import repro.core.runtime.flwor.KeyEncoder
 
 /** Literal atomic value. */
 final class LiteralIterator(item: Item) extends RuntimeIterator {
@@ -86,8 +87,8 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
             if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
             IntItem(x % y)
         }
-      case (DecimalItem(x), _) if !b.isInstanceOf[DoubleItem] => decimalOp(x, toDec(b))
-      case (_, DecimalItem(y)) if !a.isInstanceOf[DoubleItem] => decimalOp(toDec(a), y)
+      case (DecimalItem(x), _) if !b.isInstanceOf[DoubleItem] => decimalOp(x, BigDecimal(b.decimalValue))
+      case (_, DecimalItem(y)) if !a.isInstanceOf[DoubleItem] => decimalOp(BigDecimal(a.decimalValue), y)
       case _ =>
         val (x, y) = (a.numericDouble, b.numericDouble)
         op match {
@@ -101,7 +102,7 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
             if (q.isNaN || q.isInfinite)
               throw new RumbleException("FOAR0002", s"$a idiv $b has no integer result")
             // the exact value of the double quotient, truncated
-            Item.integer(BigDecimal(new java.math.BigDecimal(q).setScale(0, java.math.RoundingMode.DOWN)))
+            Item.integerPart(new java.math.BigDecimal(q))
           case "mod"  => DoubleItem(x % y)
         }
     }
@@ -112,12 +113,6 @@ final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
   private def exact(x: Long, y: Long)(r: => Long): Item =
     try IntItem(r)
     catch { case _: ArithmeticException => decimalOp(BigDecimal(x), BigDecimal(y)) }
-
-  private def toDec(i: Item): BigDecimal = i match {
-    case IntItem(v)     => BigDecimal(v)
-    case DecimalItem(v) => v
-    case other          => BigDecimal(other.numericDouble)
-  }
 
   private def decimalOp(x: BigDecimal, y: BigDecimal): Item = op match {
     case "+"    => DecimalItem(x + y)
@@ -147,8 +142,9 @@ final class UnaryMinusIterator(child: RuntimeIterator) extends RuntimeIterator {
 }
 
 /** Value comparison `eq ne lt le gt ge`; empty operand → empty result.
-  * `eq`/`ne` across incompatible non-null types is an error (XPTY0004);
-  * null compares equal only to null, and orders below every other atomic. */
+  * Types are checked by [[KeyEncoder.rank]]: a non-atomic, or incompatible
+  * non-null types, is an error (XPTY0004); null compares equal only to
+  * null, and orders below every other atomic. */
 final class ComparisonIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIterator)
     extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] =
@@ -157,28 +153,13 @@ final class ComparisonIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIte
       case _                  => Iterator.empty
     }
 
-  private def comparable(a: Item, b: Item): Boolean =
-    a.isNull || b.isNull ||
-      (a.isNumeric && b.isNumeric) || (a.isString && b.isString) ||
-      (a.isBoolean && b.isBoolean)
-
-  private def apply(a: Item, b: Item): Boolean = {
-    if (a.isObject || a.isArray || b.isObject || b.isArray)
-      throw new RumbleException("XPTY0004", s"cannot compare non-atomics: $a $op $b")
-    if (!comparable(a, b))
-      throw new RumbleException("XPTY0004", s"items not comparable: $a $op $b")
-    op match {
-      case "eq" => Item.atomicEquals(a, b)
-      case "ne" => !Item.atomicEquals(a, b)
-      case _ =>
-        val c = Item.compareAtomics(a, b)
-        op match {
-          case "lt" => c < 0
-          case "le" => c <= 0
-          case "gt" => c > 0
-          case "ge" => c >= 0
-        }
-    }
+  private def apply(a: Item, b: Item): Boolean = op match {
+    case "eq" => KeyEncoder.atomicEquals(a, b)
+    case "ne" => !KeyEncoder.atomicEquals(a, b)
+    case "lt" => KeyEncoder.compareAtomics(a, b) < 0
+    case "le" => KeyEncoder.compareAtomics(a, b) <= 0
+    case "gt" => KeyEncoder.compareAtomics(a, b) > 0
+    case "ge" => KeyEncoder.compareAtomics(a, b) >= 0
   }
 }
 

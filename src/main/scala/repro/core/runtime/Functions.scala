@@ -5,6 +5,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.core.json.JsonParser
 import repro.core.model._
+import repro.core.runtime.flwor.KeyEncoder
 
 /** `json-file(path[, partitions])` (paper §5.7): reads JSON-Lines files as
   * a sequence of items. Both paths read the files `JsonParser.inputFiles`
@@ -226,31 +227,23 @@ object Builtins {
   /** `min` (sign -1) or `max` (sign 1); ties keep the earlier item. */
   private def extreme(sign: Int): Body = (a, ctx) => {
     val pick: (Option[Item], Option[Item]) => Option[Item] = {
-      case (Some(best), x @ Some(i)) if Integer.signum(Item.compareAtomics(i, best)) == sign => x
+      case (Some(best), x @ Some(i)) if Integer.signum(KeyEncoder.compareAtomics(i, best)) == sign => x
       case (best, x) => best.orElse(x)
     }
     aggregate(a.head, ctx, Option.empty[Item])((best, x) => pick(best, Some(x)), pick).iterator
   }
 
+  /** Items with equal [[KeyEncoder.key]]s are one value; a non-atomic item
+    * is XPTY0004. */
   private def distinctValues(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
     if (a.head.isRDD(ctx))
       RddUtils.collectWithCap(
-        a.head.getRDD(ctx).map(i => (atomicKey(i), i)).reduceByKey((x, _) => x).map(_._2),
+        a.head.getRDD(ctx).map(i => (KeyEncoder.key(i), i)).reduceByKey((x, _) => x).map(_._2),
         ctx.conf)
     else {
-      val seen = scala.collection.mutable.HashSet.empty[(Int, String, Double)]
-      a.head.localIterator(ctx).filter(i => seen.add(atomicKey(i)))
+      val seen = scala.collection.mutable.HashSet.empty[(Int, String)]
+      a.head.localIterator(ctx).filter(i => seen.add(KeyEncoder.key(i)))
     }
-
-  /** Normalized atomic identity for distinct-values: numerics collapse by
-    * value across integer/decimal/double. */
-  def atomicKey(i: Item): (Int, String, Double) = i match {
-    case NullItem         => (0, "", 0.0)
-    case BooleanItem(b)   => (1, "", if (b) 1.0 else 0.0)
-    case s if s.isString  => (2, s.stringValue, 0.0)
-    case n if n.isNumeric => (3, "", n.numericDouble)
-    case other            => (4, other.toString, 0.0)
-  }
 
   // ------------------------------------------------------------ sequences
 
@@ -277,18 +270,21 @@ object Builtins {
 
   // -------------------------------------------------------------- scalars
 
+  /** `integer(x)`: the exact value of a number or of a string read as a
+    * decimal number (`"1e3"`, `" -2.7 "`), truncated toward zero; NaN and
+    * ±INF are FOCA0002, a string that is no decimal number FORG0001. */
   private def integer(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
-    a.head.materializeAtMostOne(ctx) match {
-      case None => Iterator.empty
-      case Some(i) if i.isNumeric => Iterator.single(IntItem(i.numericDouble.toLong))
-      case Some(s) if s.isString  =>
-        try Iterator.single(IntItem(s.stringValue.trim.toDouble.toLong))
+    a.head.materializeAtMostOne(ctx).iterator.map {
+      case DoubleItem(d) if d.isNaN || d.isInfinite =>
+        throw new RumbleException("FOCA0002", s"cannot cast $d to integer")
+      case n if n.isNumeric => Item.integerPart(n.decimalValue)
+      case StringItem(s) =>
+        try Item.integerPart(new java.math.BigDecimal(s.trim))
         catch { case _: NumberFormatException =>
-          throw new RumbleException("FORG0001", s"cannot cast to integer: $s")
+          throw new RumbleException("FORG0001", s"cannot cast to integer: \"$s\"")
         }
-      case Some(BooleanItem(b))   => Iterator.single(IntItem(if (b) 1 else 0))
-      case Some(other) =>
-        throw new RumbleException("XPTY0004", s"cannot cast to integer: $other")
+      case BooleanItem(b) => IntItem(if (b) 1 else 0)
+      case other => throw new RumbleException("XPTY0004", s"cannot cast to integer: $other")
     }
 
   private def double(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =

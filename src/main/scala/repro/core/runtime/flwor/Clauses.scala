@@ -117,38 +117,119 @@ final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
   }
 }
 
-/** Encodes a grouping/sorting key sequence into the paper's three native
-  * DataFrame columns (§4.7): a type rank, the string value, the number
-  * value — "designed such that Spark SQL, only looking at these columns,
-  * groups the rows the way required". */
+/** How atomics are identified and ordered (paper §4.7–4.8). An atomic's
+  * rank: 0 empty sequence least, 1 null, 2 false, 3 true, 4 string, 5
+  * number, 9 empty sequence greatest. Its key `(rank, value)`: a string's
+  * value is the string, a number's an ASCII text of its exact value
+  * ([[exact]]), any other `""`. Keys are equal exactly when values are, and
+  * order as values do with value strings in code point order (Spark SQL's
+  * UTF-8 byte order): Graefe's normalized keys (ACM CSUR 38(3), 2006). So
+  * group by, order by and `distinct-values` read two native columns on both
+  * paths, and value comparison checks types by the same ranks. */
 object KeyEncoder {
-  def encodeGroup(seq: List[Item]): (Int, String, Double) =
-    encode(Item.groupTypeRank(seq), seq)
+  val Null  = 1
+  val False = 2
+  val True  = 3
+  val Str   = 4
+  val Num   = 5
 
-  def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String, Double) =
-    encode(Item.orderTypeRank(seq, emptyGreatest), seq)
+  /** The rank of an atomic; XPTY0004 for an object or array. */
+  def rank(i: Item): Int = i match {
+    case NullItem                                    => Null
+    case BooleanItem(b)                              => if (b) True else False
+    case _: StringItem                               => Str
+    case _: IntItem | _: DecimalItem | _: DoubleItem => Num
+    case other => throw new RumbleException("XPTY0004", s"not an atomic value: $other")
+  }
 
-  private def encode(rank: Int, seq: List[Item]): (Int, String, Double) =
-    if (seq.isEmpty || seq.tail.nonEmpty) (rank, "", 0.0)
-    else if (seq.head.isString) (rank, seq.head.stringValue, 0.0)
-    else if (seq.head.isNumeric) (rank, "", seq.head.numericDouble)
-    else (rank, "", 0.0)
+  /** The key of an atomic (a double by its exact binary value); XPTY0004 for non-atomics. */
+  def key(i: Item): (Int, String) = i match {
+    case StringItem(s)                 => (Str, s)
+    case DoubleItem(d) if d.isNaN      => (Num, "5")
+    case DoubleItem(d) if d.isInfinite => (Num, if (d > 0) "4" else "0")
+    case n if n.isNumeric              => (Num, exact(n.decimalValue))
+    case other                         => (rank(other), "")
+  }
 
-  /** The DataFrame fields of key `name`: `name_r`, `name_s`, `name_n`. */
+  def encodeGroup(seq: List[Item]): (Int, String) = encodeOrder(seq, emptyGreatest = false)
+
+  /** The key of a grouping or sort key sequence: empty, or one atomic. */
+  def encodeOrder(seq: List[Item], emptyGreatest: Boolean): (Int, String) = seq match {
+    case Nil      => (if (emptyGreatest) 9 else 0, "")
+    case i :: Nil => key(i)
+    case _ => throw new RumbleException("XPTY0004", "a key must be a singleton or empty")
+  }
+
+  /** A number's text: a class (`0` −INF, `1` negative, `2` zero, `3` positive,
+    * `4` +INF, `5` NaN), then for `±0.d₁d₂… × 10^e` the biased exponent in ten
+    * digits and the digits without trailing zeros. A negative complements
+    * both and ends in `:`, above every digit, so longer digits sort first. */
+  private def exact(v: java.math.BigDecimal): String =
+    if (v.signum == 0) "2"
+    else {
+      val t      = v.stripTrailingZeros
+      val digits = t.unscaledValue.abs.toString
+      val e      = digits.length - t.scale.toLong + 5000000000L // in [0, 10^10)
+      def tenDigits(x: Long) = (10000000000L + x).toString.substring(1)
+      if (v.signum > 0) "3" + tenDigits(e) + digits
+      else "1" + tenDigits(9999999999L - e) + digits.map(c => ('0' + '9' - c).toChar) + ":"
+    }
+
+  /** Code point order. Java's `compareTo` orders UTF-16 units, which puts
+    * U+10000 and above before U+E000–U+FFFF; here surrogates move after them. */
+  def compareStrings(a: String, b: String): Int = {
+    def order(c: Char): Int = if (c < 0xD800) c else if (c < 0xE000) c + 0x2000 else c - 0x800
+    val n = math.min(a.length, b.length)
+    var i = 0
+    while (i < n && a.charAt(i) == b.charAt(i)) i += 1
+    if (i < n) order(a.charAt(i)) - order(b.charAt(i)) else a.length - b.length
+  }
+
+  def compare(a: (Int, String), b: (Int, String)): Int = {
+    val c = Integer.compare(a._1, b._1)
+    if (c != 0) c else compareStrings(a._2, b._2)
+  }
+
+  private def family(r: Int): Int = if (r == True) False else r
+
+  /** Value order (`lt` … `ge`, `min`, `max`): null < false < true, strings
+    * by code point, integers and decimals exactly, and as doubles when
+    * either is a double (XQuery promotion); other mixes are XPTY0004
+    * (§4.8: "an error is thrown if there is a string and a number"). */
+  def compareAtomics(a: Item, b: Item): Int = {
+    val ra = rank(a)
+    val rb = rank(b)
+    if (ra == Str && rb == Str) compareStrings(a.stringValue, b.stringValue)
+    else if (ra == Num && rb == Num) (a, b) match {
+      case (IntItem(x), IntItem(y))                => java.lang.Long.compare(x, y)
+      case (_: DoubleItem, _) | (_, _: DoubleItem) => java.lang.Double.compare(a.numericDouble, b.numericDouble)
+      case _                                       => a.decimalValue.compareTo(b.decimalValue)
+    }
+    else if (ra == Null || rb == Null || family(ra) == family(rb)) Integer.compare(ra, rb)
+    else throw new RumbleException("XPTY0004", s"items not comparable: $a vs $b")
+  }
+
+  /** Value equality (`eq`): as [[compareAtomics]], except that two strings
+    * are equal or not with no order, and a double operand compares with
+    * `==` (NaN equals nothing, −0.0 equals 0.0). */
+  def atomicEquals(a: Item, b: Item): Boolean = (a, b) match {
+    case (StringItem(x), StringItem(y)) => x == y
+    case (_: DoubleItem, _) | (_, _: DoubleItem) if a.isNumeric && b.isNumeric =>
+      a.numericDouble == b.numericDouble
+    case _ => compareAtomics(a, b) == 0
+  }
+
+  /** The DataFrame fields of key `name`: its rank `name_r` and value `name_s`. */
   def fields(name: String): Seq[StructField] = Seq(
     StructField(name + "_r", IntegerType, nullable = false),
-    StructField(name + "_s", StringType, nullable = false),
-    StructField(name + "_n", DoubleType, nullable = false))
+    StructField(name + "_s", StringType, nullable = false))
 
-  /** §4.8's first pass: all non-empty/non-null keys of one sort spec must
-    * have a single comparable type (booleans count as one type; the
-    * empty-sequence ranks 0/9 and the null rank 1 compare with anything). */
-  def checkOrderRanks(ranks: Seq[Int], specIndex: Int): Unit = {
-    val valueRanks = ranks.filter(r => r >= 2 && r <= 5).map(r => if (r == 3) 2 else r).distinct
-    if (valueRanks.size > 1)
+  /** §4.8's first pass: the value ranks (false to number) of one sort
+    * spec's keys must be comparable; empty and null go with anything. */
+  def checkOrderRanks(ranks: Seq[Int], specIndex: Int): Unit =
+    if (ranks.filter(r => r >= False && r <= Num).map(family).distinct.size > 1)
       throw new RumbleException(
         "XPTY0004", s"incompatible types in order-by key ${specIndex + 1}")
-  }
 }
 
 /** One `order by` sort spec with its compiled key expression. */
@@ -214,9 +295,10 @@ private final class GroupFold(keys: List[String], counted: Vector[String], kept:
   * groups are the result. On Spark each partition folds its tuples into
   * partial groups (starting a new fold whenever it holds [[FlushBound]]
   * entries, so task memory does not grow with the key cardinality) and
-  * emits one row per partial group: per key variable its (type, string,
-  * number) encoding and its cell; per CountOnly variable its summed
-  * length; per Materialize variable the cell of its concatenated items.
+  * emits one row per partial group: per key variable its [[KeyEncoder]]
+  * key (a rank and a value column) and its cell; per CountOnly variable
+  * its summed length; per Materialize variable the cell of its
+  * concatenated items.
   * The paper's GROUP BY then merges the partial rows on the encoded key
   * columns: key variables keep their first (all equal) cell, lengths are
   * summed (COUNT in the paper) and materialized cells are collected and
@@ -253,9 +335,9 @@ final class GroupByClauseIterator(
       groups.map { g =>
         Row.fromSeq(
           ks.flatMap { k =>
-            val seq       = g.first.bindings.getOrElse(k, Nil)
-            val (r, s, n) = KeyEncoder.encodeGroup(seq)
-            Seq(r, s, n, ItemSerde.serializeSeq(seq))
+            val seq    = g.first.bindings.getOrElse(k, Nil)
+            val (r, s) = KeyEncoder.encodeGroup(seq)
+            Seq(r, s, ItemSerde.serializeSeq(seq))
           } ++ g.counts ++ g.items.map(b => ItemSerde.serializeSeq(b.toList)))
       }
     }
@@ -273,7 +355,7 @@ final class GroupByClauseIterator(
     val grouped = partialFrame(ctx, read)
       .groupBy(ks.indices.flatMap(i => KeyEncoder.fields(s"k$i").map(f => col(f.name))): _*)
       .agg(aggs.head, aggs.tail: _*)
-    val at = 3 * ks.size
+    val at = 2 * ks.size
     grouped.rdd.map { row =>
       val kb = ks.indices.map(i => ks(i) -> ItemSerde.deserializeSeq(row.getAs[Array[Byte]](at + i)))
       val cb = cs.indices.map(i =>
@@ -310,8 +392,8 @@ object GroupByClauseIterator {
 }
 
 /** `order by` (paper §4.8). On Spark each live tuple becomes one row: per
-  * sort spec the (type, string, number) encoding of its key, evaluated on
-  * the tuple, then the cells of `kept` — the variables that later clauses
+  * sort spec the [[KeyEncoder]] key (rank and value) of its key
+  * expression, evaluated on the tuple, then the cells of `kept` — the variables that later clauses
   * and `return` read. A first pass over the persisted rows discovers the
   * key types and throws on incompatibility; then the rows are
   * range-partitioned on the key columns into as many partitions as the
@@ -324,7 +406,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
   def parent: Option[ClauseIterator] = Some(input)
   val vars: Vector[String]           = input.vars
 
-  /** The sorted DataFrame: key columns `k<i>_r/_s/_n`, then the cells of
+  /** The sorted DataFrame: key columns `k<i>_r/_s`, then the cells of
     * `kept`, `c0`, `c1`, …. It reads a cache that lives until the query's
     * context is released. */
   def sortedFrame(ctx: DynamicContext, read: Option[Set[String]]): DataFrame = {
@@ -335,8 +417,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
     val rows = tuples.map { t =>
       val c = base.bindAll(t.bindings)
       TupleSchema.rowFromTuple(t, cs, ss.flatMap { s =>
-        val (r, str, n) = KeyEncoder.encodeOrder(s.expr.materialize(c), s.emptyGreatest)
-        Seq(r, str, n)
+        KeyEncoder.encodeOrder(s.expr.materialize(c), s.emptyGreatest).productIterator
       })
     }
     val keyFields  = specs.indices.flatMap(i => KeyEncoder.fields(s"k$i"))
@@ -368,7 +449,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
-    val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String, Double)])]
+    val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String)])]
     input.tupleIterator(ctx).foreach { t =>
       HeapModel.check(ctx.conf.heapModelCap, buf.size + 1L)
       val keys = specs.map { spec =>
@@ -380,23 +461,12 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
     specs.indices.foreach { i =>
       KeyEncoder.checkOrderRanks(buf.map(_._2(i)._1).distinct.toSeq, i)
     }
-    val sorted = buf.sortWith { (a, b) => compareKeys(a._2, b._2) < 0 }
-    sorted.iterator.map(_._1)
-  }
-
-  private def compareKeys(a: Array[(Int, String, Double)], b: Array[(Int, String, Double)]): Int = {
-    var i = 0
-    while (i < specs.size) {
-      val (r1, s1, n1) = a(i)
-      val (r2, s2, n2) = b(i)
-      var c = Integer.compare(r1, r2)
-      if (c == 0) c = s1.compareTo(s2)
-      if (c == 0) c = java.lang.Double.compare(n1, n2)
-      if (specs(i).descending) c = -c
-      if (c != 0) return c
-      i += 1
+    // the first spec whose keys differ decides, in its direction
+    val sorted = buf.sortWith { (a, b) =>
+      val i = specs.indices.indexWhere(i => KeyEncoder.compare(a._2(i), b._2(i)) != 0)
+      i >= 0 && (KeyEncoder.compare(a._2(i), b._2(i)) < 0) != specs(i).descending
     }
-    0
+    sorted.iterator.map(_._1)
   }
 }
 

@@ -126,6 +126,13 @@ class ErrorSemanticsSpec extends RumbleSpec {
     expectError("integer(\"abc\")", "FORG0001")(rumbleLocal.run)
   }
 
+  test("integer() of NaN or an infinity is FOCA0002; of \"NaN\" or \"Infinity\" FORG0001") {
+    for (q <- Seq("integer(0e0 div 0e0)", "integer(1e0 div 0)", "integer(-1e0 div 0)"))
+      expectError(q, "FOCA0002")(rumbleLocal.run)
+    for (q <- Seq("integer(\"NaN\")", "integer(\"Infinity\")", "integer(\"-INF\")", "integer(\"\")"))
+      expectError(q, "FORG0001")(rumbleLocal.run)
+  }
+
   test("size() on non-arrays errors") {
     expectError("size(3)", "XPTY0004")(rumbleLocal.run)
   }

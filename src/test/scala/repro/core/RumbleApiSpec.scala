@@ -38,6 +38,12 @@ class RumbleApiSpec extends RumbleSpec {
     assert(df.count() == 2)
   }
 
+  test("runToDataFrame keeps every digit of an integer column") {
+    val df = rumble.runToDataFrame("""{"a": 9007199254740993}""")
+    assert(df.schema.fields.head.dataType.typeName == "long")
+    assert(df.collect().map(_.getLong(0)).toSeq == Seq(9007199254740993L))
+  }
+
   test("runToDataFrame: missing fields and nulls become SQL NULLs") {
     val df = rumble.runToDataFrame("""({"a": 1, "b": null}, {"a": 2})""")
     val rows = df.collect().sortBy(_.getLong(0))

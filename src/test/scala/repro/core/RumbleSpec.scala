@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.ListenerBusDrain
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.core.json.JsonWriter
@@ -82,6 +84,14 @@ trait RumbleSpec extends SparkSpec {
 }
 
 object RumbleSpec {
+
+  /** Run `check` on `n` samples of `gen`, the i-th drawn from seed i
+    * (ScalaCheck generators sampled directly, with no shrinking — the
+    * scalatest-plus bridge is not among the available offline dependencies). */
+  def forAllSamples[T](gen: Gen[T], n: Int = 200)(check: T => Unit): Unit =
+    (1 to n).foreach { i =>
+      gen.apply(Gen.Parameters.default, Seed(i.toLong)).foreach(check)
+    }
 
   /** Temp directory of JSON-Lines files, `(name, lines)` written in the
     * order given; a name may hold one subdirectory (`sub/x.json`). Deleted

@@ -37,20 +37,36 @@ class TupleSchemaSpec extends AnyFunSuite {
   }
 
   test("group key encoding matches the paper's column design (§4.7)") {
-    assert(KeyEncoder.encodeGroup(Nil) == ((1, "", 0.0)))
-    assert(KeyEncoder.encodeGroup(List(NullItem)) == ((2, "", 0.0)))
-    assert(KeyEncoder.encodeGroup(List(BooleanItem(true))) == ((3, "", 0.0)))
-    assert(KeyEncoder.encodeGroup(List(BooleanItem(false))) == ((4, "", 0.0)))
-    assert(KeyEncoder.encodeGroup(List(StringItem("s"))) == ((5, "s", 0.0)))
-    assert(KeyEncoder.encodeGroup(List(IntItem(3))) == ((6, "", 3.0)))
-    assert(KeyEncoder.encodeGroup(List(DoubleItem(3.0))) == ((6, "", 3.0)))
+    assert(KeyEncoder.encodeGroup(Nil) == ((0, "")))
+    assert(KeyEncoder.encodeGroup(List(NullItem)) == ((1, "")))
+    assert(KeyEncoder.encodeGroup(List(BooleanItem(false))) == ((2, "")))
+    assert(KeyEncoder.encodeGroup(List(BooleanItem(true))) == ((3, "")))
+    assert(KeyEncoder.encodeGroup(List(StringItem("s"))) == ((4, "s")))
+    // a number's value is its exact value: 0.3 × 10^1
+    assert(KeyEncoder.encodeGroup(List(IntItem(3))) == ((5, "35000000001" + "3")))
+    assert(KeyEncoder.encodeGroup(List(DoubleItem(3.0))) == KeyEncoder.encodeGroup(List(IntItem(3))))
+    assert(KeyEncoder.encodeGroup(List(DecimalItem(BigDecimal("3.00")))) ==
+      KeyEncoder.encodeGroup(List(IntItem(3))))
   }
 
   test("order key encoding distinguishes empty least/greatest (§4.8)") {
     assert(KeyEncoder.encodeOrder(Nil, emptyGreatest = false)._1 == 0)
     assert(KeyEncoder.encodeOrder(Nil, emptyGreatest = true)._1 == 9)
-    assert(KeyEncoder.encodeOrder(List(StringItem("a")), false) == ((4, "a", 0.0)))
-    assert(KeyEncoder.encodeOrder(List(IntItem(2)), false) == ((5, "", 2.0)))
+    assert(KeyEncoder.encodeOrder(List(StringItem("a")), false) == ((4, "a")))
+    assert(KeyEncoder.encodeOrder(List(IntItem(2)), false) == ((5, "35000000001" + "2")))
+  }
+
+  test("number keys: special values, signs and the exact value of a double") {
+    def n(i: Item) = KeyEncoder.key(i)._2
+    assert(n(DoubleItem(Double.NegativeInfinity)) == "0")
+    assert(n(DoubleItem(0.0)) == "2" && n(DoubleItem(-0.0)) == "2" && n(IntItem(0)) == "2")
+    assert(n(DoubleItem(Double.PositiveInfinity)) == "4")
+    assert(n(DoubleItem(Double.NaN)) == "5")
+    // -12 is -0.12 × 10^2: exponent and digits complemented, then ':'
+    assert(n(IntItem(-12)) == "1" + (9999999999L - 5000000002L) + "87:")
+    assert(n(DecimalItem(BigDecimal("0.001"))) == "34999999998" + "1")
+    assert(n(DoubleItem(0.1)) != n(DecimalItem(BigDecimal("0.1"))))
+    assert(n(DoubleItem(0.5)) == n(DecimalItem(BigDecimal("0.5"))))
   }
 
   test("checkOrderRanks accepts compatible, rejects mixed") {

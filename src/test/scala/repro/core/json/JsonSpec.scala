@@ -6,9 +6,9 @@ import org.apache.hadoop.fs.{LocatedFileStatus, Path, RawLocalFileSystem, Remote
 import org.apache.hadoop.mapred.{FileInputFormat, FileSplit, JobConf, TextInputFormat}
 import org.apache.hadoop.util.ReflectionUtils
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.RumbleSpec
+import repro.core.RumbleSpec.forAllSamples
 import repro.core.model._
 import repro.datasets.HeterogeneousData
 
@@ -16,11 +16,6 @@ import repro.datasets.HeterogeneousData
   * (ScalaCheck generators sampled directly — the scalatest-plus bridge is
   * not among the available offline dependencies). */
 class JsonSpec extends AnyFunSuite {
-
-  private def forAllSamples[T](gen: Gen[T], n: Int = 200)(check: T => Unit): Unit =
-    (1 to n).foreach { i =>
-      gen.apply(Gen.Parameters.default, Seed(i.toLong)).foreach(check)
-    }
 
   test("parses atomics") {
     assert(JsonParser.parse("1") == IntItem(1))

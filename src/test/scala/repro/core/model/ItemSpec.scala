@@ -1,6 +1,7 @@
 package repro.core.model
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.runtime.flwor.KeyEncoder
 
 /** Unit tests for the item data model: EBV, comparisons, type ranks. */
 class ItemSpec extends AnyFunSuite {
@@ -75,63 +76,65 @@ class ItemSpec extends AnyFunSuite {
   }
 
   test("compareAtomics: numbers across types") {
-    assert(Item.compareAtomics(IntItem(1), DoubleItem(1.0)) == 0)
-    assert(Item.compareAtomics(IntItem(1), DecimalItem(BigDecimal(2))) < 0)
-    assert(Item.compareAtomics(DoubleItem(3.5), IntItem(3)) > 0)
+    assert(KeyEncoder.compareAtomics(IntItem(1), DoubleItem(1.0)) == 0)
+    assert(KeyEncoder.compareAtomics(IntItem(1), DecimalItem(BigDecimal(2))) < 0)
+    assert(KeyEncoder.compareAtomics(DoubleItem(3.5), IntItem(3)) > 0)
   }
 
   test("compareAtomics: strings, booleans, null") {
-    assert(Item.compareAtomics(StringItem("a"), StringItem("b")) < 0)
-    assert(Item.compareAtomics(BooleanItem(false), BooleanItem(true)) < 0)
-    assert(Item.compareAtomics(NullItem, IntItem(-999)) < 0)
-    assert(Item.compareAtomics(StringItem("a"), NullItem) > 0)
-    assert(Item.compareAtomics(NullItem, NullItem) == 0)
+    assert(KeyEncoder.compareAtomics(StringItem("a"), StringItem("b")) < 0)
+    assert(KeyEncoder.compareAtomics(BooleanItem(false), BooleanItem(true)) < 0)
+    assert(KeyEncoder.compareAtomics(NullItem, IntItem(-999)) < 0)
+    assert(KeyEncoder.compareAtomics(StringItem("a"), NullItem) > 0)
+    assert(KeyEncoder.compareAtomics(NullItem, NullItem) == 0)
   }
 
   test("compareAtomics: incompatible types throw") {
-    assertThrows[RumbleException](Item.compareAtomics(StringItem("1"), IntItem(1)))
-    assertThrows[RumbleException](Item.compareAtomics(BooleanItem(true), IntItem(1)))
+    assertThrows[RumbleException](KeyEncoder.compareAtomics(StringItem("1"), IntItem(1)))
+    assertThrows[RumbleException](KeyEncoder.compareAtomics(BooleanItem(true), IntItem(1)))
   }
 
   test("atomicEquals semantics") {
-    assert(Item.atomicEquals(IntItem(1), DoubleItem(1.0)))
-    assert(!Item.atomicEquals(StringItem("1"), IntItem(1)))
-    assert(Item.atomicEquals(NullItem, NullItem))
-    assert(!Item.atomicEquals(NullItem, IntItem(0)))
+    assert(KeyEncoder.atomicEquals(IntItem(1), DoubleItem(1.0)))
+    assertThrows[RumbleException](KeyEncoder.atomicEquals(StringItem("1"), IntItem(1)))
+    assert(KeyEncoder.atomicEquals(NullItem, NullItem))
+    assert(!KeyEncoder.atomicEquals(NullItem, IntItem(0)))
   }
 
   test("two integers compare exactly, not through doubles") {
     val (big, bigPlus1) = (IntItem(9007199254740992L), IntItem(9007199254740993L))
-    assert(!Item.atomicEquals(bigPlus1, big))
-    assert(Item.compareAtomics(big, bigPlus1) < 0)
-    assert(Item.compareAtomics(bigPlus1, big) > 0)
-    assert(Item.compareAtomics(IntItem(Long.MinValue), IntItem(Long.MaxValue)) < 0)
+    assert(!KeyEncoder.atomicEquals(bigPlus1, big))
+    assert(KeyEncoder.compareAtomics(big, bigPlus1) < 0)
+    assert(KeyEncoder.compareAtomics(bigPlus1, big) > 0)
+    assert(KeyEncoder.compareAtomics(IntItem(Long.MinValue), IntItem(Long.MaxValue)) < 0)
     // an integer against a double still compares numerically
-    assert(Item.atomicEquals(big, DoubleItem(9007199254740992.0)))
+    assert(KeyEncoder.atomicEquals(big, DoubleItem(9007199254740992.0)))
   }
 
-  test("groupTypeRank follows the paper's encoding (§4.7)") {
-    assert(Item.groupTypeRank(Nil) == 1)
-    assert(Item.groupTypeRank(Nil, emptyGreatest = true) == 7)
-    assert(Item.groupTypeRank(Seq(NullItem)) == 2)
-    assert(Item.groupTypeRank(Seq(BooleanItem(true))) == 3)
-    assert(Item.groupTypeRank(Seq(BooleanItem(false))) == 4)
-    assert(Item.groupTypeRank(Seq(StringItem("x"))) == 5)
-    assert(Item.groupTypeRank(Seq(IntItem(1))) == 6)
-    assert(Item.groupTypeRank(Seq(DoubleItem(1.0))) == 6)
+  private val atomics = Seq(NullItem, BooleanItem(false), BooleanItem(true), StringItem("x"),
+                            IntItem(1), DecimalItem(BigDecimal("1.5")), DoubleItem(1.0))
+
+  test("one key rank per atomic type, for group by and order by (§4.7)") {
+    assert(atomics.map(KeyEncoder.rank) == Seq(1, 2, 3, 4, 5, 5, 5))
+    assert(atomics.map(i => KeyEncoder.encodeGroup(List(i))._1) == atomics.map(KeyEncoder.rank))
+    assert(atomics.map(i => KeyEncoder.encodeOrder(List(i), emptyGreatest = true)._1) ==
+      atomics.map(KeyEncoder.rank))
   }
 
-  test("groupTypeRank rejects non-atomics and multi-item keys") {
-    assertThrows[RumbleException](Item.groupTypeRank(Seq(ArrayItem(Vector.empty))))
-    assertThrows[RumbleException](Item.groupTypeRank(Seq(IntItem(1), IntItem(2))))
+  test("keys reject non-atomics and multi-item sequences") {
+    assertThrows[RumbleException](KeyEncoder.encodeGroup(List(ArrayItem(Vector.empty))))
+    assertThrows[RumbleException](KeyEncoder.encodeGroup(List(IntItem(1), IntItem(2))))
+    assertThrows[RumbleException](KeyEncoder.encodeOrder(List(ObjectItem(Vector.empty)), false))
+    assertThrows[RumbleException](KeyEncoder.encodeOrder(List(IntItem(1), IntItem(2)), true))
+    assertThrows[RumbleException](KeyEncoder.key(ObjectItem(Vector.empty)))
   }
 
-  test("orderTypeRank: empty least/greatest at the extremes") {
-    assert(Item.orderTypeRank(Nil, emptyGreatest = false) == 0)
-    assert(Item.orderTypeRank(Nil, emptyGreatest = true) == 9)
-    assert(Item.orderTypeRank(Seq(NullItem), emptyGreatest = false) == 1)
-    assert(Item.orderTypeRank(Seq(BooleanItem(false)), emptyGreatest = false) <
-           Item.orderTypeRank(Seq(BooleanItem(true)), emptyGreatest = false))
-    assertThrows[RumbleException](Item.orderTypeRank(Seq(ObjectItem(Vector.empty)), false))
+  test("key ranks: empty least/greatest at the extremes") {
+    val least    = KeyEncoder.encodeOrder(Nil, emptyGreatest = false)._1
+    val greatest = KeyEncoder.encodeOrder(Nil, emptyGreatest = true)._1
+    assert(least == 0 && greatest == 9)
+    assert(KeyEncoder.encodeGroup(Nil)._1 == least)
+    assert(atomics.forall(i => least < KeyEncoder.rank(i) && KeyEncoder.rank(i) < greatest))
+    assert(KeyEncoder.rank(BooleanItem(false)) < KeyEncoder.rank(BooleanItem(true)))
   }
 }
