@@ -155,14 +155,17 @@ object Item {
   def integerPart(v: java.math.BigDecimal): Item =
     integer(BigDecimal(v.setScale(0, java.math.RoundingMode.DOWN)))
 
-  /** Effective boolean value of a sequence (JSONiq): empty → false,
-    * singleton → item EBV, multi-item starting with a node-ish item → true,
-    * otherwise error. We keep the common cases. */
-  def effectiveBooleanValue(seq: Seq[Item]): Boolean = seq match {
-    case Seq()     => false
-    case Seq(item) => item.effectiveBoolean
-    case other =>
-      if (other.head.isObject || other.head.isArray) true
-      else throw new RumbleException("FORG0006", s"EBV undefined for sequence of ${other.size}")
+  /** Effective boolean value of a sequence (JSONiq): empty → false, one
+    * item → its EBV, several starting with an object or array → true, other
+    * sequences FORG0006. It pulls at most two items. */
+  def effectiveBooleanValue(seq: IterableOnce[Item]): Boolean = {
+    val it = seq.iterator
+    if (!it.hasNext) false
+    else {
+      val first = it.next()
+      if (!it.hasNext) first.effectiveBoolean
+      else if (first.isObject || first.isArray) true
+      else throw new RumbleException("FORG0006", "EBV undefined for a sequence of several atomics")
+    }
   }
 }

@@ -54,113 +54,40 @@ final class RangeIterator(from: RuntimeIterator, to: RuntimeIterator) extends Ru
     else throw new RumbleException("XPTY0004", s"'to' requires integers, got $i")
 }
 
-/** Arithmetic `+ - * div idiv mod` with numeric promotion:
-  * integer op integer stays integral (except div → double), any double
-  * operand promotes to double, decimals use BigDecimal arithmetic.
-  * JSONiq integers are unbounded: an integer result past the range of a
-  * `Long` is a `DecimalItem`, as an integer literal or JSON number past it
-  * is. Empty operand → empty result (XQuery semantics). */
-final class ArithmeticIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIterator)
-    extends RuntimeIterator {
+/** An operator on one item of each operand; an empty operand → empty result (XQuery). */
+abstract class BinaryIterator(lhs: RuntimeIterator, rhs: RuntimeIterator) extends RuntimeIterator {
+  protected def apply(a: Item, b: Item): Item
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     (lhs.materializeAtMostOne(ctx), rhs.materializeAtMostOne(ctx)) match {
       case (Some(a), Some(b)) => Iterator.single(apply(a, b))
       case _                  => Iterator.empty
     }
+}
 
-  private def apply(a: Item, b: Item): Item = {
-    if (!a.isNumeric || !b.isNumeric)
-      throw new RumbleException("XPTY0004", s"arithmetic on non-numbers: $a $op $b")
-    (a, b) match {
-      case (IntItem(x), IntItem(y)) =>
-        op match {
-          case "+"    => exact(x, y)(Math.addExact(x, y))
-          case "-"    => exact(x, y)(Math.subtractExact(x, y))
-          case "*"    => exact(x, y)(Math.multiplyExact(x, y))
-          case "div"  =>
-            if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
-            DoubleItem(x.toDouble / y.toDouble)
-          case "idiv" =>
-            if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
-            exact(x, y)(if (x == Long.MinValue && y == -1) throw new ArithmeticException else x / y)
-          case "mod"  =>
-            if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
-            IntItem(x % y)
-        }
-      case (DecimalItem(x), _) if !b.isInstanceOf[DoubleItem] => decimalOp(x, BigDecimal(b.decimalValue))
-      case (_, DecimalItem(y)) if !a.isInstanceOf[DoubleItem] => decimalOp(BigDecimal(a.decimalValue), y)
-      case _ =>
-        val (x, y) = (a.numericDouble, b.numericDouble)
-        op match {
-          case "+"    => DoubleItem(x + y)
-          case "-"    => DoubleItem(x - y)
-          case "*"    => DoubleItem(x * y)
-          case "div"  => DoubleItem(x / y)
-          case "idiv" =>
-            if (y == 0) throw new RumbleException("FOAR0001", "division by zero")
-            val q = x / y
-            if (q.isNaN || q.isInfinite)
-              throw new RumbleException("FOAR0002", s"$a idiv $b has no integer result")
-            // the exact value of the double quotient, truncated
-            Item.integerPart(new java.math.BigDecimal(q))
-          case "mod"  => DoubleItem(x % y)
-        }
-    }
-  }
-
-  /** `r`, the integer result of `x op y`, or the same operation on
-    * decimals when `r` overflows a `Long`. */
-  private def exact(x: Long, y: Long)(r: => Long): Item =
-    try IntItem(r)
-    catch { case _: ArithmeticException => decimalOp(BigDecimal(x), BigDecimal(y)) }
-
-  private def decimalOp(x: BigDecimal, y: BigDecimal): Item = op match {
-    case "+"    => DecimalItem(x + y)
-    case "-"    => DecimalItem(x - y)
-    case "*"    => DecimalItem(x * y)
-    case "div"  =>
-      if (y.signum == 0) throw new RumbleException("FOAR0001", "division by zero")
-      DecimalItem(BigDecimal(x.bigDecimal.divide(y.bigDecimal, java.math.MathContext.DECIMAL64)))
-    case "idiv" =>
-      if (y.signum == 0) throw new RumbleException("FOAR0001", "division by zero")
-      Item.integer(BigDecimal(x.bigDecimal.divideToIntegralValue(y.bigDecimal)))
-    case "mod"  => DecimalItem(x % y)
-  }
+/** Arithmetic `+ - * div idiv mod` under [[Numeric]]'s promotion rule. */
+final class ArithmeticIterator(op: Arithmetic, lhs: RuntimeIterator, rhs: RuntimeIterator)
+    extends BinaryIterator(lhs, rhs) {
+  protected def apply(a: Item, b: Item): Item = op(a, b)
 }
 
 final class UnaryMinusIterator(child: RuntimeIterator) extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] =
-    child.materializeAtMostOne(ctx) match {
-      case None                  => Iterator.empty
-      case Some(IntItem(v))      =>
-        Iterator.single(if (v == Long.MinValue) DecimalItem(-BigDecimal(v)) else IntItem(-v))
-      case Some(DoubleItem(v))   => Iterator.single(DoubleItem(-v))
-      case Some(DecimalItem(v))  => Iterator.single(DecimalItem(-v))
-      case Some(other) =>
-        throw new RumbleException("XPTY0004", s"unary minus on non-number: $other")
-    }
+    child.materializeAtMostOne(ctx).iterator.map(Numeric.negate)
 }
 
-/** Value comparison `eq ne lt le gt ge`; empty operand → empty result.
-  * Types are checked by [[KeyEncoder.rank]]: a non-atomic, or incompatible
-  * non-null types, is an error (XPTY0004); null compares equal only to
-  * null, and orders below every other atomic. */
-final class ComparisonIterator(op: String, lhs: RuntimeIterator, rhs: RuntimeIterator)
-    extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    (lhs.materializeAtMostOne(ctx), rhs.materializeAtMostOne(ctx)) match {
-      case (Some(a), Some(b)) => Iterator.single(BooleanItem(apply(a, b)))
-      case _                  => Iterator.empty
-    }
+/** Value comparison `eq ne lt le gt ge` by [[KeyEncoder.compareAtomics]]. */
+final class ComparisonIterator(op: ValueComparison, lhs: RuntimeIterator, rhs: RuntimeIterator)
+    extends BinaryIterator(lhs, rhs) {
+  protected def apply(a: Item, b: Item): Item = BooleanItem(op.holds(KeyEncoder.compareAtomics(a, b)))
+}
 
-  private def apply(a: Item, b: Item): Boolean = op match {
-    case "eq" => KeyEncoder.atomicEquals(a, b)
-    case "ne" => !KeyEncoder.atomicEquals(a, b)
-    case "lt" => KeyEncoder.compareAtomics(a, b) < 0
-    case "le" => KeyEncoder.compareAtomics(a, b) <= 0
-    case "gt" => KeyEncoder.compareAtomics(a, b) > 0
-    case "ge" => KeyEncoder.compareAtomics(a, b) >= 0
-  }
+/** The value comparison written `symbol`, as the orders it holds for; two
+  * numbers that a NaN leaves unordered satisfy only `ne` (XQuery). */
+final class ValueComparison(symbol: String) extends Serializable {
+  private val (lt, eq, gt) =
+    (Set("lt", "le", "ne")(symbol), Set("eq", "le", "ge")(symbol), Set("gt", "ge", "ne")(symbol))
+  def holds(c: Int): Boolean =
+    if (c == Numeric.Unordered) lt && gt else if (c < 0) lt else if (c > 0) gt else eq
 }
 
 final class AndIterator(lhs: RuntimeIterator, rhs: RuntimeIterator) extends RuntimeIterator {

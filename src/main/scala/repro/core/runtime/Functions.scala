@@ -7,6 +7,21 @@ import repro.core.json.JsonParser
 import repro.core.model._
 import repro.core.runtime.flwor.KeyEncoder
 
+/** A source of items that Spark can distribute (paper §5.7): an RDD outside
+  * closures unless the engine is forced local. Its optional `partitions`
+  * argument must be one positive integer, on both paths (XPTY0004). */
+abstract class SourceIterator(partitionsArg: Option[RuntimeIterator]) extends RuntimeIterator {
+  override def isRDD(ctx: DynamicContext): Boolean = !ctx.conf.forceLocal && !ctx.insideClosure
+
+  /** The partition count asked for, if any; both paths evaluate it. */
+  protected def partitions(ctx: DynamicContext): Option[Int] =
+    partitionsArg.map(_.materializeAtMostOne(ctx) match {
+      case Some(IntItem(n)) if n > 0 && n <= Int.MaxValue => n.toInt
+      case other => throw new RumbleException(
+        "XPTY0004", s"partitions must be a positive integer, got ${other.getOrElse("()")}")
+    })
+}
+
 /** `json-file(path[, partitions])` (paper §5.7): reads JSON-Lines files as
   * a sequence of items. Both paths read the files `JsonParser.inputFiles`
   * lists for `path`, in its order; a path that matches no file raises
@@ -18,8 +33,8 @@ import repro.core.runtime.flwor.KeyEncoder
   * JNDY0021 naming the file and the line (its byte offset on Spark, its
   * number locally).
   */
-final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[RuntimeIterator])
-    extends RuntimeIterator {
+final class JsonFileIterator(pathExpr: RuntimeIterator, partitionsArg: Option[RuntimeIterator])
+    extends SourceIterator(partitionsArg) {
 
   private def path(ctx: DynamicContext): String =
     pathExpr.materializeAtMostOne(ctx) match {
@@ -27,42 +42,34 @@ final class JsonFileIterator(pathExpr: RuntimeIterator, partitions: Option[Runti
       case other => throw new RumbleException("FODC0002", s"json-file needs a path, got $other")
     }
 
-  override def isRDD(ctx: DynamicContext): Boolean =
-    !ctx.conf.forceLocal && !ctx.insideClosure
-
   override def getRDD(ctx: DynamicContext): RDD[Item] = getRDD(ctx, None)
 
   /** The items, of each object line only the top-level `keys` when given:
     * the read a FLWOR's initial `for` projects (see `FlworIterator.keptKeys`). */
   def getRDD(ctx: DynamicContext, keys: Option[Set[String]]): RDD[Item] = {
     val sc = SparkSession.active.sparkContext
-    val parts = partitions
-      .flatMap(_.materializeAtMostOne(ctx))
-      .map(_.numericDouble.toInt)
-      .getOrElse(sc.defaultParallelism)
-    JsonParser.readLines(sc, path(ctx), parts, keys)
+    JsonParser.readLines(sc, path(ctx), partitions(ctx).getOrElse(sc.defaultParallelism), keys)
   }
 
-  protected def compute(ctx: DynamicContext): Iterator[Item] = JsonParser.readFiles(path(ctx))
+  protected def compute(ctx: DynamicContext): Iterator[Item] = {
+    partitions(ctx)
+    JsonParser.readFiles(path(ctx))
+  }
 }
 
 /** `parallelize(e[, partitions])`: materializes the child sequence on the
   * driver and distributes it as an RDD of items (paper §5.7), triggering
   * Spark-enabled behaviour downstream. */
-final class ParallelizeIterator(child: RuntimeIterator, partitions: Option[RuntimeIterator])
-    extends RuntimeIterator {
-  override def isRDD(ctx: DynamicContext): Boolean =
-    !ctx.conf.forceLocal && !ctx.insideClosure
+final class ParallelizeIterator(child: RuntimeIterator, partitionsArg: Option[RuntimeIterator])
+    extends SourceIterator(partitionsArg) {
   override def getRDD(ctx: DynamicContext): RDD[Item] = {
-    val sc    = SparkSession.active.sparkContext
-    val items = child.materialize(ctx)
-    val parts = partitions
-      .flatMap(_.materializeAtMostOne(ctx))
-      .map(_.numericDouble.toInt)
-      .getOrElse(sc.defaultParallelism)
-    sc.parallelize(items, parts)
+    val sc = SparkSession.active.sparkContext
+    sc.parallelize(child.materialize(ctx), partitions(ctx).getOrElse(sc.defaultParallelism))
   }
-  protected def compute(ctx: DynamicContext): Iterator[Item] = child.localIterator(ctx)
+  protected def compute(ctx: DynamicContext): Iterator[Item] = {
+    partitions(ctx)
+    child.localIterator(ctx)
+  }
 }
 
 /** A builtin function: the range of argument counts it accepts and the
@@ -136,7 +143,7 @@ object Builtins {
     "number"   -> unary(double),
     "boolean"  -> unary((a, ctx) => Iterator.single(BooleanItem(a.head.effectiveBoolean(ctx)))),
     "not"      -> unary((a, ctx) => Iterator.single(BooleanItem(!a.head.effectiveBoolean(ctx)))),
-    "abs"      -> unary(abs),
+    "abs"      -> unary((a, ctx) => a.head.materializeAtMostOne(ctx).iterator.map(Numeric.abs)),
     "round"    -> fn(1, 2)(round),
     // strings
     "string-length" -> unary { (a, ctx) =>
@@ -177,31 +184,6 @@ object Builtins {
 
   // ----------------------------------------------------------- aggregates
 
-  /** Running `sum`: integers add exactly while every item is an integer,
-    * in a `Long` plus a decimal `carry` that takes what overflows it; the
-    * result is an integer, a decimal past the range of a `Long`. From the
-    * first non-integer on the sum is a double. Both paths fold it, so an RDD
-    * of integers sums to the integer it sums to locally. */
-  private final case class SumAcc(allInt: Boolean, ints: Long, carry: BigDecimal, doubles: Double) {
-    private def exact: BigDecimal = carry + ints
-    private def asDouble: Double  = if (allInt) exact.toDouble else doubles
-    private def plus(v: Long): SumAcc =
-      try copy(ints = Math.addExact(ints, v))
-      catch { case _: ArithmeticException => copy(ints = v, carry = exact) }
-    def add(i: Item): SumAcc =
-      if (allInt && i.isInteger) plus(i.asInstanceOf[IntItem].value)
-      else SumAcc(allInt = false, 0L, SumAcc.Zero, asDouble + i.numericDouble)
-    def merge(o: SumAcc): SumAcc =
-      if (allInt && o.allInt) { val s = plus(o.ints); s.copy(carry = s.carry + o.carry) }
-      else SumAcc(allInt = false, 0L, SumAcc.Zero, asDouble + o.asDouble)
-    def result: Item = if (allInt) Item.integer(exact) else DoubleItem(doubles)
-  }
-
-  private object SumAcc {
-    val Zero: BigDecimal = BigDecimal(0)
-    val empty: SumAcc    = SumAcc(allInt = true, 0L, Zero, 0.0)
-  }
-
   /** Fold the items of `a` with `add`: locally in order, or on an RDD as
     * one Spark job that folds each partition and merges the partition
     * results in partition order, so ties and rounding match the local
@@ -213,21 +195,30 @@ object Builtins {
         .collect().foldLeft(zero)(merge)
     else a.localIterator(ctx).foldLeft(zero)(add)
 
-  private def sum(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
-    Iterator.single(
-      aggregate(a.head, ctx, SumAcc.empty)(_ add _, _ merge _).result)
+  /** The sum of `a`'s items, a fold of `+` (exact for integers and
+    * decimals), and their count. */
+  private def total(a: List[RuntimeIterator], ctx: DynamicContext): (Item, Long) =
+    aggregate(a.head, ctx, (IntItem(0): Item, 0L))(
+      { case ((s, n), i) => (Arithmetic.Add(s, i), n + 1) },
+      { case ((s1, n1), (s2, n2)) => (Arithmetic.Add(s1, s2), n1 + n2) })
 
+  private def sum(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
+    Iterator.single(total(a, ctx)._1)
+
+  /** F&O: the average of integers is a decimal. */
   private def avg(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
-    val (s, n) = aggregate(a.head, ctx, (0.0, 0L))(
-      { case ((s, n), i) => (s + i.numericDouble, n + 1) },
-      { case ((s1, n1), (s2, n2)) => (s1 + s2, n1 + n2) })
-    if (n == 0) Iterator.empty else Iterator.single(DoubleItem(s / n))
+    val (s, n) = total(a, ctx)
+    if (n == 0) Iterator.empty else Iterator.single(Arithmetic.Div(s, DecimalItem(BigDecimal(n))))
   }
 
-  /** `min` (sign -1) or `max` (sign 1); ties keep the earlier item. */
+  /** `min` (sign -1) or `max` (sign 1) by value order; ties keep the earlier
+    * item, and the first NaN wins (F&O). */
   private def extreme(sign: Int): Body = (a, ctx) => {
     val pick: (Option[Item], Option[Item]) => Option[Item] = {
-      case (Some(best), x @ Some(i)) if Integer.signum(KeyEncoder.compareAtomics(i, best)) == sign => x
+      case (b @ Some(best), x @ Some(i)) =>
+        val c = KeyEncoder.compareAtomics(i, best)
+        val wins = if (c == Numeric.Unordered) !best.numericDouble.isNaN else Integer.signum(c) == sign
+        if (wins) x else b
       case (best, x) => best.orElse(x)
     }
     aggregate(a.head, ctx, Option.empty[Item])((best, x) => pick(best, Some(x)), pick).iterator
@@ -300,28 +291,10 @@ object Builtins {
         throw new RumbleException("XPTY0004", s"cannot cast to double: $other")
     }
 
-  private def abs(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
-    a.head.materializeAtMostOne(ctx) match {
-      case None                 => Iterator.empty
-      case Some(IntItem(v))     =>
-        Iterator.single(if (v == Long.MinValue) DecimalItem(-BigDecimal(v)) else IntItem(math.abs(v)))
-      case Some(DoubleItem(v))  => Iterator.single(DoubleItem(math.abs(v)))
-      case Some(DecimalItem(v)) => Iterator.single(DecimalItem(v.abs))
-      case Some(other) =>
-        throw new RumbleException("XPTY0004", s"abs() on non-number: $other")
-    }
-
-  private def round(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] =
-    a.head.materializeAtMostOne(ctx) match {
-      case None    => Iterator.empty
-      case Some(i) =>
-        val digits =
-          a.lift(1).flatMap(_.materializeAtMostOne(ctx)).map(_.numericDouble.toInt).getOrElse(0)
-        val f = math.pow(10, digits)
-        Iterator.single(
-          if (digits == 0 && i.isInteger) i
-          else DoubleItem(math.round(i.numericDouble * f) / f))
-    }
+  private def round(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {
+    val digits = a.lift(1).flatMap(_.materializeAtMostOne(ctx)).fold(0)(_.numericDouble.toInt)
+    a.head.materializeAtMostOne(ctx).iterator.map(Numeric.round(_, digits))
+  }
 
   /** Positions count code points, not UTF-16 units (F&O §5.1). */
   private def substring(a: List[RuntimeIterator], ctx: DynamicContext): Iterator[Item] = {

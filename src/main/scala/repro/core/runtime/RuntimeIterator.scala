@@ -62,16 +62,8 @@ abstract class RuntimeIterator extends Serializable {
   }
 
   /** Effective boolean value of this expression's result. */
-  final def effectiveBoolean(ctx: DynamicContext): Boolean = {
-    val it = localIterator(ctx)
-    if (!it.hasNext) false
-    else {
-      val first = it.next()
-      if (!it.hasNext) first.effectiveBoolean
-      else if (first.isObject || first.isArray) true
-      else throw new RumbleException("FORG0006", "EBV undefined for this sequence")
-    }
-  }
+  final def effectiveBoolean(ctx: DynamicContext): Boolean =
+    Item.effectiveBooleanValue(localIterator(ctx))
 }
 
 object RddUtils {

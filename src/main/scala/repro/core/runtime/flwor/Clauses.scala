@@ -192,31 +192,17 @@ object KeyEncoder {
 
   private def family(r: Int): Int = if (r == True) False else r
 
-  /** Value order (`lt` … `ge`, `min`, `max`): null < false < true, strings
-    * by code point, integers and decimals exactly, and as doubles when
-    * either is a double (XQuery promotion); other mixes are XPTY0004
-    * (§4.8: "an error is thrown if there is a string and a number"). */
-  def compareAtomics(a: Item, b: Item): Int = {
-    val ra = rank(a)
-    val rb = rank(b)
-    if (ra == Str && rb == Str) compareStrings(a.stringValue, b.stringValue)
-    else if (ra == Num && rb == Num) (a, b) match {
-      case (IntItem(x), IntItem(y))                => java.lang.Long.compare(x, y)
-      case (_: DoubleItem, _) | (_, _: DoubleItem) => java.lang.Double.compare(a.numericDouble, b.numericDouble)
-      case _                                       => a.decimalValue.compareTo(b.decimalValue)
-    }
-    else if (ra == Null || rb == Null || family(ra) == family(rb)) Integer.compare(ra, rb)
-    else throw new RumbleException("XPTY0004", s"items not comparable: $a vs $b")
-  }
-
-  /** Value equality (`eq`): as [[compareAtomics]], except that two strings
-    * are equal or not with no order, and a double operand compares with
-    * `==` (NaN equals nothing, −0.0 equals 0.0). */
-  def atomicEquals(a: Item, b: Item): Boolean = (a, b) match {
-    case (StringItem(x), StringItem(y)) => x == y
-    case (_: DoubleItem, _) | (_, _: DoubleItem) if a.isNumeric && b.isNumeric =>
-      a.numericDouble == b.numericDouble
-    case _ => compareAtomics(a, b) == 0
+  /** Value order (`eq` … `ge`, `min`, `max`): numbers by [[Numeric.Compare]],
+    * strings by code point, null < false < true with null below any other
+    * atomic; other mixes are XPTY0004 (§4.8: "an error is thrown if there is
+    * a string and a number"). */
+  def compareAtomics(a: Item, b: Item): Int = (a, b) match {
+    case (StringItem(x), StringItem(y))  => compareStrings(x, y)
+    case _ if a.isNumeric && b.isNumeric => Numeric.Compare(a, b)
+    case _ =>
+      val (ra, rb) = (rank(a), rank(b))
+      if (ra == Null || rb == Null || family(ra) == family(rb)) Integer.compare(ra, rb)
+      else throw new RumbleException("XPTY0004", s"items not comparable: $a vs $b")
   }
 
   /** The DataFrame fields of key `name`: its rank `name_r` and value `name_s`. */

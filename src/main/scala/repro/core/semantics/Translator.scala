@@ -56,12 +56,12 @@ object Translator {
       new RangeIterator(translateExpr(a, sc), translateExpr(b, sc))
 
     case ArithmeticExpr(op, a, b) =>
-      new ArithmeticIterator(op, translateExpr(a, sc), translateExpr(b, sc))
+      new ArithmeticIterator(Arithmetic(op), translateExpr(a, sc), translateExpr(b, sc))
 
     case UnaryMinusExpr(e) => new UnaryMinusIterator(translateExpr(e, sc))
 
     case ComparisonExpr(op, a, b) =>
-      new ComparisonIterator(op, translateExpr(a, sc), translateExpr(b, sc))
+      new ComparisonIterator(new ValueComparison(op), translateExpr(a, sc), translateExpr(b, sc))
 
     case AndExpr(a, b) => new AndIterator(translateExpr(a, sc), translateExpr(b, sc))
     case OrExpr(a, b)  => new OrIterator(translateExpr(a, sc), translateExpr(b, sc))

@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.core.model.{RumbleException, StaticException}
+import org.scalatest.exceptions.TestFailedException
+import repro.core.model.{IntItem, RumbleException, StaticException}
 import repro.core.runtime.Builtins
 
 /** Error semantics: static errors raised before execution, dynamic errors
@@ -175,6 +176,26 @@ class ErrorSemanticsSpec extends RumbleSpec {
     val (onSpark, local) = invalidJson(path)
     assert(onSpark.contains(path) && onSpark.contains("byte offset 9"), onSpark)
     assert(local.contains(path) && local.contains("line 2"), local)
+  }
+
+  test("a partitions argument that is not one positive integer is XPTY0004 on both paths") {
+    val path = tempJsonFile("partitions", Seq(goodLine))
+    for (p <- Seq("0", "-1", "\"a\"", "2.7", "()", "(1, 2)"); r <- Seq(rumble, rumbleLocal)) {
+      expectError(s"parallelize((1, 2, 3), $p)", "XPTY0004")(r.run)
+      expectError(s"""json-file("$path", $p)""", "XPTY0004")(r.run)
+    }
+    for (r <- Seq(rumble, rumbleLocal)) {
+      assert(r.run("parallelize((1, 2, 3), 2)") == List(IntItem(1), IntItem(2), IntItem(3)))
+      assert(r.run(s"""json-file("$path", 2)""").size == 1)
+    }
+  }
+
+  test("a failing helper writes an unpaired surrogate in its message as its escape") {
+    val q = "\"a\uD800\""
+    val messages = Seq(intercept[TestFailedException](expectError(q, "FOAR0001")(rumbleLocal.run)),
+                       intercept[TestFailedException](checkAgainstLocal(q))).map(_.getMessage)
+    val escaped = messages.forall(m => m.contains("a\\ud800") && !m.exists(Character.isSurrogate))
+    assert(escaped)
   }
 
   test("json-file on a missing local file errors") {

@@ -7,14 +7,6 @@ package repro.core
   * wanted answer. In the queries 2^53 = 9007199254740992. */
 class ExactKeysSpec extends RumbleSpec {
 
-  /** The outcome of `query` on both engines is `wanted`: its items (in
-    * order, or as a sorted list when `ordered` is false) or an error code. */
-  private def both(query: String, wanted: Either[String, List[String]], ordered: Boolean = true): Unit =
-    for ((name, r) <- Seq("Spark" -> rumble, "local" -> rumbleLocal)) {
-      val got = outcome(r, query)
-      assert((if (ordered) got else got.map(_.sorted)) == wanted, s"$name: $query")
-    }
-
   private def items(xs: String*) = Right(xs.toList)
 
   private val big = "(9007199254740993, 9007199254740992, 9007199254740993)"

@@ -21,15 +21,10 @@ class GeneratedPathsSpec extends RumbleSpec {
   /** Each case costs one Spark query; ten per shape keeps the suite short. */
   private val Cases = 10
 
-  /** The outcome of `query` on `r`: its items, or the code of its error. */
-  private def items(r: Rumble, query: String): Either[String, List[Item]] =
-    try Right(r.run(query))
-    catch { case e: RumbleException => Left(e.code) }
-
   /** Both paths' outcomes of `query`, each reduced by `norm`, agree. */
   private def agree(query: String)(norm: List[Item] => Any): Unit = {
-    val (onSpark, local) = (items(rumble, query).map(norm), items(rumbleLocal, query).map(norm))
-    assert(onSpark == local, s"$query\nSpark: $onSpark\nlocal: $local")
+    val (onSpark, local) = (result(rumble, query).map(norm), result(rumbleLocal, query).map(norm))
+    check(onSpark == local, s"$query\nSpark: $onSpark\nlocal: $local")
   }
 
   /** The items in runs of equal sort key, each run's items serialized and sorted. */

@@ -21,13 +21,13 @@ class OracleEquivalenceSpec extends RumbleSpec {
   private lazy val confusionDf: DataFrame = {
     val items = (0 until nConf).map(i =>
       repro.core.json.JsonParser.parse(ConfusionData.line(i.toLong, 42L)))
-    Rumble.itemsToDataFrame(spark, items)
+    ItemFrames(spark, items)
       .select("guess", "target", "country", "date")
       .withColumnRenamed("date", "gamedate")
   }
 
   test("filter query matches DuckDB (projection + selection)") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$i in json-file("$confusionFile")
          |where $$i.guess eq $$i.target
          |return {"guess": $$i.guess, "target": $$i.target,
@@ -38,7 +38,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("filter count matches DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""{"cnt": count(for $$i in json-file("$confusionFile")
          |            where $$i.guess eq $$i.target return $$i)}""".stripMargin)
     Oracle.assertEquivalent(df,
@@ -47,7 +47,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("group-by query matches DuckDB (COUNT pushdown path)") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$i in json-file("$confusionFile")
          |group by $$t := $$i.target
          |return {"target": $$t, "cnt": count($$i)}""".stripMargin)
@@ -57,7 +57,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("group-by on two keys matches DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$i in json-file("$confusionFile")
          |group by $$t := $$i.target, $$c := $$i.country
          |return {"target": $$t, "country": $$c, "cnt": count($$i)}""".stripMargin)
@@ -67,7 +67,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("sort query content matches DuckDB (filter + order)") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$i in json-file("$confusionFile")
          |where $$i.guess eq $$i.target
          |order by $$i.target ascending, $$i.country descending, $$i.date descending
@@ -107,7 +107,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("TPC-H-lite: selective aggregation per returnflag matches DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$l in json-file("$lineitemFile")
          |where $$l.l_quantity lt 25
          |group by $$r := $$l.l_returnflag
@@ -119,7 +119,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("TPC-H-lite: sum of discounts matches DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""{"s": sum(for $$l in json-file("$lineitemFile")
          |         where $$l.l_returnflag eq "R"
          |         return $$l.l_discount)}""".stripMargin)
@@ -129,7 +129,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("TPC-H-lite: per-group average quantity matches DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$l in json-file("$lineitemFile")
          |group by $$f := $$l.l_linestatus
          |return {"f": $$f, "a": avg($$l.l_quantity)}""".stripMargin)
@@ -140,7 +140,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("TPC-H-lite: min/max extended price matches DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""let $$p := (for $$l in json-file("$lineitemFile") return $$l.l_extendedprice)
          |return {"lo": min($$p), "hi": max($$p)}""".stripMargin)
     Oracle.assertEquivalent(df,
@@ -150,7 +150,7 @@ class OracleEquivalenceSpec extends RumbleSpec {
   }
 
   test("TPC-H-lite: distinct line numbers match DuckDB") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       s"""for $$n in distinct-values(
          |  for $$l in json-file("$lineitemFile") return $$l.l_linenumber)
          |return {"n": $$n}""".stripMargin)

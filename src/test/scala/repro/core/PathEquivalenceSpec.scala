@@ -257,7 +257,7 @@ class PathEquivalenceSpec extends RumbleSpec {
         "18446744073709551614, -9223372036854775809, 4, -4",
       s"sum(parallelize(($max, 1, 1, 1), 4))" -> "9223372036854775810",
       s"sum(parallelize(($max, 1, -1, $max, -$max), 3))" -> "9223372036854775807",
-      s"sum(parallelize(($max, 1, 0.5), 2))" -> "9.223372036854776E18",
+      s"sum(parallelize(($max, 1, 0.5), 2))" -> "9223372036854775808.5",
       s"sum(parallelize((-$max, -2), 2))" -> "-9223372036854775809")) {
       assert(outcome(rumble, q) == outcome(rumbleLocal, q), q)
       assert(evalSpark(q) == expected, q)

@@ -27,7 +27,7 @@ class RumbleApiSpec extends RumbleSpec {
   }
 
   test("runToDataFrame infers Long, Double, Boolean, String columns") {
-    val df = rumble.runToDataFrame(
+    val df = runToDataFrame(
       """for $i in (1, 2)
         |return {"l": $i, "d": $i * 1.5, "b": $i eq 1, "s": "v" || $i}""".stripMargin)
     val types = df.schema.fields.map(f => f.name -> f.dataType.typeName).toMap
@@ -39,25 +39,25 @@ class RumbleApiSpec extends RumbleSpec {
   }
 
   test("runToDataFrame keeps every digit of an integer column") {
-    val df = rumble.runToDataFrame("""{"a": 9007199254740993}""")
+    val df = runToDataFrame("""{"a": 9007199254740993}""")
     assert(df.schema.fields.head.dataType.typeName == "long")
     assert(df.collect().map(_.getLong(0)).toSeq == Seq(9007199254740993L))
   }
 
   test("runToDataFrame: missing fields and nulls become SQL NULLs") {
-    val df = rumble.runToDataFrame("""({"a": 1, "b": null}, {"a": 2})""")
+    val df = runToDataFrame("""({"a": 1, "b": null}, {"a": 2})""")
     val rows = df.collect().sortBy(_.getLong(0))
     assert(rows.forall(_.isNullAt(1)))
   }
 
   test("runToDataFrame: mixed-type columns fall back to strings") {
-    val df = rumble.runToDataFrame("""({"a": 1}, {"a": "x"})""")
+    val df = runToDataFrame("""({"a": 1}, {"a": "x"})""")
     assert(df.schema.fields.head.dataType.typeName == "string")
     assert(df.collect().map(_.getString(0)).toSet == Set("1", "x"))
   }
 
   test("runToDataFrame rejects non-object items") {
-    val e = intercept[RumbleException](rumble.runToDataFrame("(1, 2)"))
+    val e = intercept[RumbleException](runToDataFrame("(1, 2)"))
     assert(e.code == "RBML0003")
   }
 

@@ -4,6 +4,7 @@ import org.apache.spark.ListenerBusDrain
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core.json.JsonWriter
 import repro.core.model._
@@ -33,23 +34,42 @@ trait RumbleSpec extends SparkSpec {
   /** Run on the Spark-enabled engine and serialize. */
   def evalSpark(query: String): String = ser(rumble.run(query))
 
-  /** A query's outcome on `r`: its serialized items, or the code of the
-    * JSONiq error it raised. */
-  def outcome(r: Rumble, query: String): Either[String, List[String]] =
-    try Right(r.run(query).map(JsonWriter.write))
+  /** A query's result on `r`: its items, or the code of the JSONiq error
+    * it raised. */
+  def result(r: Rumble, query: String): Either[String, List[Item]] =
+    try Right(r.run(query))
     catch { case e: RumbleException => Left(e.code) }
+
+  /** [[result]] with the items serialized. */
+  def outcome(r: Rumble, query: String): Either[String, List[String]] =
+    result(r, query).map(_.map(JsonWriter.write))
 
   /** Assert the FLWOR root runs on a Spark path (Tuples or DataFrame), then
     * that it returns the forced-local engine's items — in the same
     * order unless `ordered` is false — or raises the same error code. */
   def checkAgainstLocal(query: String, ordered: Boolean = true): Unit = {
-    assert(rumble.compile(query).isRDD(DynamicContext.root(RumbleConf())),
+    check(rumble.compile(query).isRDD(DynamicContext.root(RumbleConf())),
       s"expected a Spark path for: $query")
     val onSpark = outcome(rumble, query)
     val local   = outcome(rumbleLocal, query)
-    if (ordered) assert(onSpark == local, query)
-    else assert(onSpark.map(_.sorted) == local.map(_.sorted), query)
+    val agree   = if (ordered) onSpark == local else onSpark.map(_.sorted) == local.map(_.sorted)
+    check(agree, s"$query\nSpark: $onSpark\nlocal: $local")
   }
+
+  /** The outcome of `query` on both engines is `wanted`: its items (in
+    * order, or as a sorted list when `ordered` is false) or an error code. */
+  def both(query: String, wanted: Either[String, List[String]], ordered: Boolean = true): Unit =
+    for ((name, r) <- Seq("Spark" -> rumble, "local" -> rumbleLocal)) {
+      val got = outcome(r, query)
+      check((if (ordered) got else got.map(_.sorted)) == wanted, s"$name: $query\ngot: $got\nwanted: $wanted")
+    }
+
+  /** Fail with `message` unless `ok`, through [[RumbleSpec.clue]]. */
+  def check(ok: Boolean, message: => String): Unit =
+    if (!ok) fail(RumbleSpec.clue(message))
+
+  /** The query's result as a DataFrame, for the DuckDB oracle ([[ItemFrames]]). */
+  def runToDataFrame(query: String): DataFrame = ItemFrames(spark, rumble.run(query))
 
   /** The number of Spark jobs `f` starts. */
   def jobsStarted(f: => Any): Int = {
@@ -64,10 +84,15 @@ trait RumbleSpec extends SparkSpec {
     finally sc.removeSparkListener(l)
   }
 
-  def expectError(query: String, codePrefix: String)(run: String => Any): Unit = {
-    val e = intercept[RumbleException](run(query))
-    assert(e.code.startsWith(codePrefix), s"expected $codePrefix, got ${e.code}: ${e.getMessage}")
-  }
+  /** `run(query)` raises an error whose code starts with `codePrefix`. */
+  def expectError(query: String, codePrefix: String)(run: String => Any): Unit =
+    try {
+      run(query)
+      check(ok = false, s"$query: expected $codePrefix, got no error")
+    } catch {
+      case e: RumbleException =>
+        check(e.code.startsWith(codePrefix), s"$query: expected $codePrefix, got ${e.code}: ${e.getMessage}")
+    }
 
   /** Temp JSON-Lines file from raw lines; deleted on JVM exit. */
   def tempJsonFile(name: String, lines: Seq[String]): String = {
@@ -84,6 +109,15 @@ trait RumbleSpec extends SparkSpec {
 }
 
 object RumbleSpec {
+
+  /** `s` with each unpaired surrogate written as its `\uXXXX` escape, as
+    * [[JsonWriter]] writes it. Test reports are written as UTF-8, which has
+    * no code for it: sbt's JUnit XML writer throws on one and drops the
+    * suites still to run, so every failure message goes through here. */
+  def clue(s: String): String =
+    s.codePoints.toArray.map { cp =>
+      if (Character.getType(cp) == Character.SURROGATE) f"\\u$cp%04x" else new String(Character.toChars(cp))
+    }.mkString
 
   /** Run `check` on `n` samples of `gen`, the i-th drawn from seed i
     * (ScalaCheck generators sampled directly, with no shrinking — the

@@ -95,20 +95,21 @@ class ItemSpec extends AnyFunSuite {
   }
 
   test("atomicEquals semantics") {
-    assert(KeyEncoder.atomicEquals(IntItem(1), DoubleItem(1.0)))
-    assertThrows[RumbleException](KeyEncoder.atomicEquals(StringItem("1"), IntItem(1)))
-    assert(KeyEncoder.atomicEquals(NullItem, NullItem))
-    assert(!KeyEncoder.atomicEquals(NullItem, IntItem(0)))
+    // equality is value order's 0
+    assert(KeyEncoder.compareAtomics(IntItem(1), DoubleItem(1.0)) == 0)
+    assertThrows[RumbleException](KeyEncoder.compareAtomics(StringItem("1"), IntItem(1)))
+    assert(KeyEncoder.compareAtomics(NullItem, NullItem) == 0)
+    assert(KeyEncoder.compareAtomics(NullItem, IntItem(0)) != 0)
   }
 
   test("two integers compare exactly, not through doubles") {
     val (big, bigPlus1) = (IntItem(9007199254740992L), IntItem(9007199254740993L))
-    assert(!KeyEncoder.atomicEquals(bigPlus1, big))
+    assert(KeyEncoder.compareAtomics(bigPlus1, big) != 0)
     assert(KeyEncoder.compareAtomics(big, bigPlus1) < 0)
     assert(KeyEncoder.compareAtomics(bigPlus1, big) > 0)
     assert(KeyEncoder.compareAtomics(IntItem(Long.MinValue), IntItem(Long.MaxValue)) < 0)
     // an integer against a double still compares numerically
-    assert(KeyEncoder.atomicEquals(big, DoubleItem(9007199254740992.0)))
+    assert(KeyEncoder.compareAtomics(big, DoubleItem(9007199254740992.0)) == 0)
   }
 
   private val atomics = Seq(NullItem, BooleanItem(false), BooleanItem(true), StringItem("x"),
