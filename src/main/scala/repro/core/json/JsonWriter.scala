@@ -21,7 +21,9 @@ object JsonWriter {
     case IntItem(v)        => sb.append(v)
     case DoubleItem(v)     =>
       if (v.isNaN || v.isInfinite) sb.append("null") // JSON has no NaN/Inf
-      else if (v == math.floor(v) && math.abs(v) < 1e15) { sb.append(v.toLong); sb.append(".0") }
+      // whole numbers below 1e15 in plain digits, where Double.toString writes
+      // 1.0E7; a zero goes to Double.toString, which keeps the sign of −0.0
+      else if (v == math.floor(v) && math.abs(v) < 1e15 && v != 0) { sb.append(v.toLong); sb.append(".0") }
       else sb.append(v)
     case DecimalItem(v)    => sb.append(v.bigDecimal.toPlainString)
     case StringItem(s)     => appendString(sb, s)

@@ -40,6 +40,9 @@ final class Parser(tokens: Vector[Token]) {
   private def eatName(n: String): Unit =
     if (peekName(n)) pos += 1 else fail(s"expected keyword '$n'")
 
+  /** Consume the optional keyword `n`, telling whether it was there. */
+  private def accept(n: String): Boolean = peekName(n) && { pos += 1; true }
+
   private def expectVar(): String = peek match {
     case TVar(v) => pos += 1; v
     case _       => fail("expected a variable")
@@ -53,14 +56,18 @@ final class Parser(tokens: Vector[Token]) {
     }
   }
 
+  /** `item ("," item)*`: the one comma-list rule of the grammar. */
+  private def commaSeparated[A](item: => A): List[A] = {
+    val items = List.newBuilder[A]
+    items += item
+    while (peek == TPunct(",")) { advance(); items += item }
+    items.result()
+  }
+
   /** Expr := ExprSingle ("," ExprSingle)* */
-  private def parseExpr(): ExprAst = {
-    val first = parseExprSingle()
-    if (peek == TPunct(",")) {
-      val parts = scala.collection.mutable.ListBuffer(first)
-      while (peek == TPunct(",")) { advance(); parts += parseExprSingle() }
-      CommaExpr(parts.toList)
-    } else first
+  private def parseExpr(): ExprAst = commaSeparated(parseExprSingle()) match {
+    case single :: Nil => single
+    case parts         => CommaExpr(parts)
   }
 
   private def parseExprSingle(): ExprAst = peek match {
@@ -106,73 +113,37 @@ final class Parser(tokens: Vector[Token]) {
 
   private def parseForClause(): ClauseAst = {
     eatName("for")
-    val bindings = scala.collection.mutable.ListBuffer.empty[(String, ExprAst)]
-    var more = true
-    while (more) {
-      val v = expectVar()
-      eatName("in")
-      bindings += ((v, parseExprSingle()))
-      if (peek == TPunct(",")) advance() else more = false
-    }
-    ForClauseAst(bindings.toList)
+    ForClauseAst(commaSeparated { val v = expectVar(); eatName("in"); (v, parseExprSingle()) })
   }
 
   private def parseLetClause(): ClauseAst = {
     eatName("let")
-    val bindings = scala.collection.mutable.ListBuffer.empty[(String, ExprAst)]
-    var more = true
-    while (more) {
-      val v = expectVar()
-      expectPunct(":=")
-      bindings += ((v, parseExprSingle()))
-      if (peek == TPunct(",")) advance() else more = false
-    }
-    LetClauseAst(bindings.toList)
+    LetClauseAst(commaSeparated { val v = expectVar(); expectPunct(":="); (v, parseExprSingle()) })
   }
 
-  private def parseGroupBy(): ClauseAst = {
-    val keys = scala.collection.mutable.ListBuffer.empty[(String, Option[ExprAst])]
-    var more = true
-    while (more) {
-      val v = expectVar()
-      val binding = if (peek == TPunct(":=")) { advance(); Some(parseExprSingle()) } else None
-      keys += ((v, binding))
-      if (peek == TPunct(",")) advance() else more = false
-    }
-    GroupByClauseAst(keys.toList)
-  }
+  private def parseGroupBy(): ClauseAst = GroupByClauseAst(commaSeparated {
+    val v = expectVar()
+    (v, if (peek == TPunct(":=")) { advance(); Some(parseExprSingle()) } else None)
+  })
 
-  private def parseOrderBy(): ClauseAst = {
-    val specs = scala.collection.mutable.ListBuffer.empty[OrderSpecAst]
-    var more = true
-    while (more) {
-      val e    = parseExprSingle()
-      var desc = false
-      if (peekName("ascending")) advance()
-      else if (peekName("descending")) { advance(); desc = true }
-      var emptyGreatest = false
-      if (peekName("empty")) {
-        advance()
-        if (peekName("greatest")) { advance(); emptyGreatest = true }
-        else eatName("least")
-      }
-      specs += OrderSpecAst(e, desc, emptyGreatest)
-      if (peek == TPunct(",")) advance() else more = false
-    }
-    OrderByClauseAst(specs.toList)
-  }
+  private def parseOrderBy(): ClauseAst = OrderByClauseAst(commaSeparated {
+    val e             = parseExprSingle()
+    val desc          = !accept("ascending") && accept("descending")
+    val emptyGreatest = accept("empty") && (accept("greatest") || { eatName("least"); false })
+    OrderSpecAst(e, desc, emptyGreatest)
+  })
 
   // ----------------------------------------------------------- operators
 
   private def parseOr(): ExprAst = {
     var lhs = parseAnd()
-    while (peekName("or")) { advance(); lhs = OrExpr(lhs, parseAnd()) }
+    while (accept("or")) lhs = OrExpr(lhs, parseAnd())
     lhs
   }
 
   private def parseAnd(): ExprAst = {
     var lhs = parseComparison()
-    while (peekName("and")) { advance(); lhs = AndExpr(lhs, parseComparison()) }
+    while (accept("and")) lhs = AndExpr(lhs, parseComparison())
     lhs
   }
 
@@ -199,7 +170,7 @@ final class Parser(tokens: Vector[Token]) {
 
   private def parseRange(): ExprAst = {
     val lhs = parseAdditive()
-    if (peekName("to")) { advance(); ToRangeExpr(lhs, parseAdditive()) } else lhs
+    if (accept("to")) ToRangeExpr(lhs, parseAdditive()) else lhs
   }
 
   private def parseAdditive(): ExprAst = {
@@ -274,13 +245,9 @@ final class Parser(tokens: Vector[Token]) {
     case TName("if") if peekAt(1) == TPunct("(")    => parseIf()
     case TName(fn) if peekAt(1) == TPunct("(") =>
       advance(); advance() // name (
-      val args = scala.collection.mutable.ListBuffer.empty[ExprAst]
-      if (peek != TPunct(")")) {
-        args += parseExprSingle()
-        while (peek == TPunct(",")) { advance(); args += parseExprSingle() }
-      }
+      val args = if (peek == TPunct(")")) Nil else commaSeparated(parseExprSingle())
       expectPunct(")")
-      FunctionCallExpr(fn, args.toList)
+      FunctionCallExpr(fn, args)
     case TPunct("(") =>
       advance()
       if (peek == TPunct(")")) { advance(); CommaExpr(Nil) } // empty sequence ()
@@ -291,22 +258,17 @@ final class Parser(tokens: Vector[Token]) {
       }
     case TPunct("{") =>
       advance()
-      val pairs = scala.collection.mutable.ListBuffer.empty[(String, ExprAst)]
-      if (peek != TPunct("}")) {
-        var more = true
-        while (more) {
-          val key = peek match {
-            case TString(s) => advance(); s
-            case TName(s)   => advance(); s
-            case _          => fail("expected an object key")
-          }
-          expectPunct(":")
-          pairs += ((key, parseExprSingle()))
-          if (peek == TPunct(",")) advance() else more = false
+      val pairs = if (peek == TPunct("}")) Nil else commaSeparated {
+        val key = peek match {
+          case TString(s) => advance(); s
+          case TName(s)   => advance(); s
+          case _          => fail("expected an object key")
         }
+        expectPunct(":")
+        (key, parseExprSingle())
       }
       expectPunct("}")
-      ObjectConstructorExpr(pairs.toList)
+      ObjectConstructorExpr(pairs)
     case TPunct("[") =>
       advance()
       if (peek == TPunct("]")) { advance(); ArrayConstructorExpr(None) }

@@ -211,17 +211,26 @@ object Builtins {
     if (n == 0) Iterator.empty else Iterator.single(Arithmetic.Div(s, DecimalItem(BigDecimal(n))))
   }
 
-  /** `min` (sign -1) or `max` (sign 1) by value order; ties keep the earlier
-    * item, and the first NaN wins (F&O). */
+  /** `min` (sign -1) or `max` (sign 1) of the items promoted to one type
+    * (F&O). Two numbers compare by their exact values ([[KeyEncoder.key]]),
+    * a total order, so the answer does not depend on the Spark partitioning;
+    * the result is a double when any item was one, which is the extreme of
+    * the promoted items since rounding to a double is monotone. Ties keep the
+    * earlier item, and the first NaN wins. */
   private def extreme(sign: Int): Body = (a, ctx) => {
-    val pick: (Option[Item], Option[Item]) => Option[Item] = {
-      case (b @ Some(best), x @ Some(i)) =>
-        val c = KeyEncoder.compareAtomics(i, best)
-        val wins = if (c == Numeric.Unordered) !best.numericDouble.isNaN else Integer.signum(c) == sign
-        if (wins) x else b
-      case (best, x) => best.orElse(x)
+    def nan(i: Item) = i.numericDouble.isNaN
+    def wins(i: Item, best: Item): Boolean =
+      if (!i.isNumeric || !best.isNumeric) Integer.signum(KeyEncoder.compareAtomics(i, best)) == sign
+      else if (nan(i) || nan(best)) !nan(best)
+      else Integer.signum(KeyEncoder.compare(KeyEncoder.key(i), KeyEncoder.key(best))) == sign
+    // the extreme so far, and whether a double was seen
+    val pick: ((Option[Item], Boolean), (Option[Item], Boolean)) => (Option[Item], Boolean) = {
+      case ((Some(best), d), (Some(i), e)) => (Some(if (wins(i, best)) i else best), d || e)
+      case ((best, d), (x, e))             => (best.orElse(x), d || e)
     }
-    aggregate(a.head, ctx, Option.empty[Item])((best, x) => pick(best, Some(x)), pick).iterator
+    val (best, sawDouble) = aggregate(a.head, ctx, (Option.empty[Item], false))(
+      (acc, i) => pick(acc, (Some(i), i.isInstanceOf[DoubleItem])), pick)
+    best.map(b => if (sawDouble && b.isNumeric) DoubleItem(b.numericDouble) else b).iterator
   }
 
   /** Items with equal [[KeyEncoder.key]]s are one value; a non-atomic item

@@ -112,24 +112,21 @@ object Translator {
     // the tuple stream's variables so far, in binding order
     def inScope: Vector[String] = chain.fold(Vector.empty[String])(_.vars)
 
-    def addFor(name: String, expr: ExprAst): Unit = {
+    // binds `name` to each item of `expr` (a for) or to all of them (a let)
+    def bind(name: String, expr: ExprAst, each: Boolean): Unit = {
       val e = translateExpr(expr, sc)
-      chain = Some(new ForClauseIterator(chain, name, e))
-      sc = sc.withVar(name)
-    }
-
-    def addLet(name: String, expr: ExprAst): Unit = {
-      val e = translateExpr(expr, sc)
-      chain = Some(new LetClauseIterator(chain, name, e))
+      chain = Some(if (each) new ForClauseIterator(chain, name, e) else new LetClauseIterator(chain, name, e))
       sc = sc.withVar(name)
     }
 
     while (remaining.nonEmpty) {
       val clause = remaining.head
       remaining = remaining.tail
+      // what the later clauses and `return` read: group by and order by keep only that
+      val downstream = remaining.flatMap(clauseExprs) :+ ret
       clause match {
-        case ForClauseAst(bindings) => bindings.foreach { case (v, e) => addFor(v, e) }
-        case LetClauseAst(bindings) => bindings.foreach { case (v, e) => addLet(v, e) }
+        case ForClauseAst(bindings) => bindings.foreach { case (v, e) => bind(v, e, each = true) }
+        case LetClauseAst(bindings) => bindings.foreach { case (v, e) => bind(v, e, each = false) }
 
         case WhereClauseAst(e) =>
           chain = Some(new WhereClauseIterator(chain.get, translateExpr(e, sc)))
@@ -137,38 +134,29 @@ object Translator {
         case GroupByClauseAst(keys) =>
           // binding form first: group by $k := e  ≡  let $k := e then group by $k
           keys.foreach {
-            case (v, Some(e)) => addLet(v, e)
+            case (v, Some(e)) => bind(v, e, each = false)
             case (v, None) =>
               if (!inScope.contains(v))
                 throw new StaticException("XPST0008", s"grouping variable $$$v not in scope")
           }
-          val keyNames   = keys.map(_._1)
-          val downstream = remaining.flatMap(clauseExprs) :+ ret
+          val keyNames     = keys.map(_._1)
           val reboundBelow = remaining.flatMap(clauseBoundVars).toSet
           val modes = inScope.filterNot(keyNames.contains).map { v =>
-            val mode =
-              if (reboundBelow.contains(v)) GroupAggMode.Materialize
-              else {
-                val use = Usage.of(downstream.map(usage(_, v)))
-                if (!use.used) GroupAggMode.Drop
-                else if (use.onlyCount) GroupAggMode.CountOnly
-                else GroupAggMode.Materialize
-              }
-            v -> mode
+            val use = Usage.of(downstream.map(usage(_, v)))
+            v -> (if (reboundBelow.contains(v) || use.used && !use.onlyCount) GroupAggMode.Materialize
+                  else if (use.used) GroupAggMode.CountOnly
+                  else GroupAggMode.Drop)
           }.toMap
           // rewrite downstream count($v) → $v#count for CountOnly vars
-          modes.collect { case (v, GroupAggMode.CountOnly) => v }.foreach { v =>
-            remaining = remaining.map(mapClause(_, rewriteCount(_, v)))
-            ret = rewriteCount(ret, v)
-            sc = sc.withVar(v + "#count")
-          }
+          val counted = modes.collect { case (v, GroupAggMode.CountOnly) => v }.toSet
+          remaining = remaining.map(mapClause(_, rewriteCount(_, counted)))
+          ret = rewriteCount(ret, counted)
+          counted.foreach(v => sc = sc.withVar(v + "#count"))
           chain = Some(new GroupByClauseIterator(chain.get, keyNames, modes))
 
         case OrderByClauseAst(specs) =>
           val compiled = specs.map(s =>
             OrderSpec(translateExpr(s.expr, sc), s.descending, s.emptyGreatest))
-          // the sort encodes only what later clauses and `return` read
-          val downstream = remaining.flatMap(clauseExprs) :+ ret
           val groupKeys = remaining.flatMap {
             case GroupByClauseAst(ks) => ks.map(_._1)
             case _                    => Nil
@@ -252,16 +240,6 @@ object Translator {
 
   // ---------- usage analysis: group-by modes, order-by cells, projected reads
 
-  /** All expression ASTs directly contained in a clause. */
-  private def clauseExprs(c: ClauseAst): List[ExprAst] = c match {
-    case ForClauseAst(bs)     => bs.map(_._2)
-    case LetClauseAst(bs)     => bs.map(_._2)
-    case WhereClauseAst(e)    => List(e)
-    case GroupByClauseAst(ks) => ks.flatMap(_._2)
-    case OrderByClauseAst(ss) => ss.map(_.expr)
-    case CountClauseAst(_)    => Nil
-  }
-
   private def clauseBoundVars(c: ClauseAst): List[String] = c match {
     case ForClauseAst(bs)     => bs.map(_._1)
     case LetClauseAst(bs)     => bs.map(_._1)
@@ -299,11 +277,29 @@ object Translator {
     case other => Usage.of(childrenOf(other).map(usage(_, v)))
   }
 
-  /** Replace `count($v)` with `$v#count` everywhere in `ast`. */
-  private def rewriteCount(ast: ExprAst, v: String): ExprAst = ast match {
-    case FunctionCallExpr("count", List(VarRefExpr(`v`))) => VarRefExpr(v + "#count")
-    case other => mapChildren(other, rewriteCount(_, v))
+  /** Replace `count($v)` with `$v#count` everywhere in `ast`, for each `v` in `vs`. */
+  private def rewriteCount(ast: ExprAst, vs: Set[String]): ExprAst = ast match {
+    case FunctionCallExpr("count", List(VarRefExpr(v))) if vs(v) => VarRefExpr(v + "#count")
+    case other => mapChildren(other, rewriteCount(_, vs))
   }
+
+  // ---------- the one traversal: `mapClause` and `mapChildren` alone list
+  // the children of each clause and expression shape, and the usage analysis
+  // reads the same lists, so it and the rewrite cannot disagree on a shape.
+  // Both matches are exhaustive, so the compiler flags a shape left out.
+
+  /** The expressions `map` hands to its function, in order. */
+  private def visited(map: (ExprAst => ExprAst) => Any): List[ExprAst] = {
+    val seen = List.newBuilder[ExprAst]
+    map { e => seen += e; e }
+    seen.result()
+  }
+
+  /** The expressions directly contained in a clause. */
+  private def clauseExprs(c: ClauseAst): List[ExprAst] = visited(mapClause(c, _))
+
+  /** The expressions directly contained in an expression. */
+  private def childrenOf(ast: ExprAst): List[ExprAst] = visited(mapChildren(ast, _))
 
   /** `c` with `f` applied to each of its expressions. */
   private def mapClause(c: ClauseAst, f: ExprAst => ExprAst): ClauseAst = c match {
@@ -313,27 +309,6 @@ object Translator {
     case GroupByClauseAst(ks) => GroupByClauseAst(ks.map { case (n, e) => (n, e.map(f)) })
     case OrderByClauseAst(ss) => OrderByClauseAst(ss.map(s => s.copy(expr = f(s.expr))))
     case cc: CountClauseAst   => cc
-  }
-
-  private def childrenOf(ast: ExprAst): List[ExprAst] = ast match {
-    case CommaExpr(parts)             => parts
-    case ToRangeExpr(a, b)            => List(a, b)
-    case ArithmeticExpr(_, a, b)      => List(a, b)
-    case UnaryMinusExpr(e)            => List(e)
-    case ComparisonExpr(_, a, b)      => List(a, b)
-    case AndExpr(a, b)                => List(a, b)
-    case OrExpr(a, b)                 => List(a, b)
-    case StringConcatExpr(a, b)       => List(a, b)
-    case IfExpr(c, t, e)              => List(c, t, e)
-    case ObjectConstructorExpr(pairs) => pairs.map(_._2)
-    case ArrayConstructorExpr(e)      => e.toList
-    case ObjectLookupExpr(t, _)       => List(t)
-    case ArrayUnboxExpr(t)            => List(t)
-    case ArrayLookupExpr(t, i)        => List(t, i)
-    case PredicateExpr(t, p)          => List(t, p)
-    case FunctionCallExpr(_, args)    => args
-    case FlworExpr(cs, r)             => cs.flatMap(clauseExprs) :+ r
-    case _                            => Nil
   }
 
   private def mapChildren(ast: ExprAst, f: ExprAst => ExprAst): ExprAst = ast match {
@@ -355,6 +330,6 @@ object Translator {
     case PredicateExpr(t, p)          => PredicateExpr(f(t), f(p))
     case FunctionCallExpr(n, args)    => FunctionCallExpr(n, args.map(f))
     case FlworExpr(cs, r)             => FlworExpr(cs.map(mapClause(_, f)), f(r))
-    case leaf                         => leaf
+    case _: LiteralExpr | _: VarRefExpr | ContextItemExpr => ast
   }
 }

@@ -48,7 +48,7 @@ class NumericSpec extends RumbleSpec {
       List(DecimalItem(BigDecimal(3)), DecimalItem(BigDecimal(-2))))
     both("for $x in parallelize((2.5e0, -2.5e0, -0.4e0, 1250, 2.345)) " +
            "return (round($x), round($x, -2), round($x, 2))",
-         items("3.0", "0.0", "2.5", "-2.0", "0.0", "-2.5", "0.0", "0.0", "-0.4", "1250", "1300", "1250",
+         items("3.0", "0.0", "2.5", "-2.0", "-0.0", "-2.5", "-0.0", "-0.0", "-0.4", "1250", "1300", "1250",
                "2", "0", "2.35"))
   }
 
@@ -58,6 +58,26 @@ class NumericSpec extends RumbleSpec {
          items("false", "true", "true", "true"))
     both("for $x in parallelize(0e0 div 0) return ($x gt 1, $x lt 1, $x eq $x, $x ne $x, $x ge $x)",
          items("false", "false", "false", "true", "false"))
+  }
+
+  test("a double -0 is written as -0.0, and reads back with its sign") {
+    for ((q, want) <- Seq("-0e0" -> "-0.0", "[-0e0]" -> "[-0.0]", "round(-0.4e0)" -> "-0.0",
+                          "0e0" -> "0.0", "-0e0 + 0e0" -> "0.0"))
+      both(s"for $$x in parallelize(1) return $q", items(want))
+    val read = json.JsonParser.parse(json.JsonWriter.write(DoubleItem(-0.0)))
+    assert(java.lang.Double.doubleToRawLongBits(read.numericDouble) == java.lang.Double.doubleToRawLongBits(-0.0))
+  }
+
+  test("min and max promote the whole sequence, whatever the partitioning") {
+    // 2^53 + 1 > 2^53, but each equals 2^53 as a double: F&O promotes all three first
+    for (k <- 1 to 3) {
+      both(s"min(parallelize((9007199254740993, 9007199254740992e0, 9007199254740992), $k))",
+           items("9.007199254740992E15"))
+      both(s"max(parallelize((9007199254740992, 9007199254740992e0, 9007199254740993), $k))",
+           items("9.007199254740992E15"))
+    }
+    both("min(parallelize((3, 9007199254740993, 2.5), 2))", items("2.5"))
+    both("max(parallelize((3, 9007199254740993, 2.5), 2))", items("9007199254740993"))
   }
 
   test("min and max return NaN when a NaN is present") {
@@ -209,8 +229,10 @@ object NumericSpec {
     def slices(xs: Seq[Item], k: Int): Seq[Seq[Item]] =
       (0 until k).map(i => xs.slice(i * xs.size / k, (i + 1) * xs.size / k))
 
-    /** `f` over the concatenated `parts`: each part folded from the start,
-      * then the parts' results folded in order, as the engine does. */
+    /** `f` over the concatenated `parts`. `sum` and `avg` fold each part
+      * from the start, then the parts' results in order, as the engine does,
+      * since double addition depends on the grouping. `min` and `max` promote
+      * the whole sequence to one type first (F&O), so the parts do not matter. */
     def aggregate(f: String, parts: Seq[Seq[Item]]): Option[Item] = f match {
       case "sum" => Some(parts.map(_.foldLeft(IntItem(0): Item)(plus)).foldLeft(IntItem(0): Item)(plus))
       case "avg" =>
@@ -227,8 +249,9 @@ object NumericSpec {
           }
           case _ => best.orElse(x)
         }
-        val none = Option.empty[Item]
-        parts.map(_.foldLeft(none)((b, i) => pick(b, Some(i)))).foldLeft(none)(pick)
+        val xs = parts.flatten
+        val promoted = if (xs.exists(isDouble)) xs.map(x => DoubleItem(double(x))) else xs
+        promoted.foldLeft(Option.empty[Item])((b, i) => pick(b, Some(i)))
     }
 
     /** F&O `round(x, p)`: floor(x × 10^p + ½) / 10^p, in x's type; a double

@@ -217,7 +217,50 @@ class PathEquivalenceSpec extends RumbleSpec {
         |return [$$x]""".stripMargin, None),
     ("a later clause that rebinds $o",
      s"""for $$o in json-file("$messy") let $$o := $$o.a return $$o""", None),
+  ) ++ wrappers.map { case (shape, wrap, _) =>
+    (s"$$o.a inside $shape", s"""for $$o in json-file("$messy") return ${wrap("$o.a")}""", Some(Set("a")))
+  }
+
+  /** One row per expression shape with children, and per clause shape with
+    * expressions in a nested FLWOR: (shape, the shape wrapped around an
+    * expression `x`, the items it returns in [[grouped]] when `x` is
+    * `count($o)`). The usage analysis must find `$o.a` inside each shape,
+    * and the group by's rewrite of `count($o)` (§4.7) must reach it. */
+  private def wrappers: Seq[(String, String => String, List[String])] = Seq(
+    ("a comma", x => s"($x, 0)", List("2", "0", "1", "0")),
+    ("a range", x => s"1 to $x", List("1", "2", "1")),
+    ("arithmetic", x => s"$x * 10", List("20", "10")),
+    ("a unary minus", x => s"-$x", List("-2", "-1")),
+    ("a comparison", x => s"$x eq 2", List("true", "false")),
+    ("an and", x => s"$x and true", List("true", "true")),
+    ("an or", x => s"false or $x", List("true", "true")),
+    ("a string concatenation", x => s"""$x || "!"""", List("\"2!\"", "\"1!\"")),
+    ("an if", x => s"if ($x) then $x else -1", List("2", "1")),
+    ("an object constructor", x => s"""{"n": $x}""", List("""{"n" : 2}""", """{"n" : 1}""")),
+    ("an array constructor", x => s"[$x]", List("[2]", "[1]")),
+    ("an object lookup", x => s"""{"n": $x}.n""", List("2", "1")),
+    ("an array unboxing", x => s"[$x][]", List("2", "1")),
+    ("an array lookup", x => s"[$x][[1]]", List("2", "1")),
+    ("a predicate", x => s"$x[$$$$ gt 0]", List("2", "1")),
+    ("a function call", x => s"abs($x)", List("2", "1")),
+    ("a nested FLWOR's for", x => s"for $$y in $x return $$y", List("2", "1")),
+    ("a nested FLWOR's let", x => s"let $$y := $x return $$y", List("2", "1")),
+    ("a nested FLWOR's where", x => s"for $$y in (1, 2) where $$y le $x return $$y", List("1", "2", "1")),
+    ("a nested FLWOR's group by", x => s"for $$y in 1 group by $$g := $x return $$g", List("2", "1")),
+    ("a nested FLWOR's order by", x => s"for $$y in (1, 2, 3) order by abs($$y - $x) return $$y",
+     List("2", "1", "3", "1", "2", "3")),
+    ("a nested FLWOR's return", x => s"for $$y in 1 return $x", List("2", "1")),
   )
+
+  /** A group of two objects, then a group of one, with `x` as the return. */
+  private def grouped(x: String): String =
+    s"""for $$o in parallelize(({"a": 1}, {"a": 2}, {"a": 1}), 2) group by $$k := $$o.a
+       |order by $$k return $x""".stripMargin
+
+  for ((shape, wrap, want) <- wrappers)
+    test(s"Spark and local agree: count($$o) after a group by, inside $shape") {
+      both(grouped(wrap("count($o)")), Right(want))
+    }
 
   for ((shape, q, keys) <- projections) {
     test(s"Spark and local agree on a projected json-file read: $shape") {
