@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.SparkSession
 import repro.core.json.{JsonParser, JsonWriter}
 import repro.core.model._
+import repro.baselines.RawSparkBaseline.{guessIsTarget, sortKey, sortOrdering, str}
 
 /** PySpark baseline stand-in (§6.2/§6.4).
   *
@@ -39,52 +40,23 @@ object PySparkSimBaseline {
     spark.sparkContext.textFile(path)
       .mapPartitions(_.filter(_.trim.nonEmpty).map(JsonParser.parseLine))
 
+  /** The raw-Spark queries, with each Python lambda's argument passed
+    * through `pyBoundary`. */
   def filterQuery(spark: SparkSession, path: String): Long =
     objects(spark, path)
-      .filter { o =>
-        val p = pyBoundary(o) // lambda o: o['guess'] == o['target']
-        (p.lookup("guess"), p.lookup("target")) match {
-          case (Some(g), Some(t)) => g == t
-          case _                  => false
-        }
-      }
+      .filter(o => guessIsTarget(pyBoundary(o))) // lambda o: o['guess'] == o['target']
       .count()
 
   def groupQuery(spark: SparkSession, path: String): Long =
     objects(spark, path)
-      .map { o =>
-        val p = pyBoundary(o) // lambda o: (o['target'], 1)
-        (p.lookup("target").map(_.stringValue).getOrElse(""), 1L)
-      }
+      .map(o => (str(pyBoundary(o), "target"), 1L)) // lambda o: (o['target'], 1)
       .reduceByKey(_ + _)
       .count()
 
-  private val sortOrdering: Ordering[(String, String, String)] =
-    new Ordering[(String, String, String)] {
-      def compare(a: (String, String, String), b: (String, String, String)): Int = {
-        var c = a._1.compareTo(b._1)
-        if (c == 0) c = b._2.compareTo(a._2)
-        if (c == 0) c = b._3.compareTo(a._3)
-        c
-      }
-    }
-
   def sortQuery(spark: SparkSession, path: String, out: String): Unit =
     objects(spark, path)
-      .filter { o =>
-        val p = pyBoundary(o)
-        (p.lookup("guess"), p.lookup("target")) match {
-          case (Some(g), Some(t)) => g == t
-          case _                  => false
-        }
-      }
-      .sortBy { o =>
-        val p = pyBoundary(o) // keyfunc lambda
-        (str(p, "target"), str(p, "country"), str(p, "date"))
-      }(sortOrdering, implicitly)
+      .filter(o => guessIsTarget(pyBoundary(o)))
+      .sortBy(o => sortKey(pyBoundary(o)))(sortOrdering, implicitly) // keyfunc lambda
       .map(o => JsonWriter.write(pyBoundary(o))) // json.dumps in Python
       .saveAsTextFile(out)
-
-  private def str(o: Item, k: String): String =
-    o.lookup(k).map(_.stringValue).getOrElse("")
 }

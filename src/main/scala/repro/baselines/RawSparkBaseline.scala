@@ -15,28 +15,34 @@ object RawSparkBaseline {
   private def objects(spark: SparkSession, path: String) =
     JsonParser.readLines(spark.sparkContext, path, spark.sparkContext.defaultMinPartitions)
 
+  /** The paper's filter predicate, `guess = target` (Fig. 2). */
+  private[baselines] def guessIsTarget(o: Item): Boolean =
+    (o.lookup("guess"), o.lookup("target")) match {
+      case (Some(g), Some(t)) => g == t
+      case _                  => false
+    }
+
   /** Fig. 2-style filter: guess = target; returns the number of matches. */
   def filterQuery(spark: SparkSession, path: String): Long =
-    objects(spark, path).filter { o =>
-      (o.lookup("guess"), o.lookup("target")) match {
-        case (Some(g), Some(t)) => g == t
-        case _                  => false
-      }
-    }.count()
+    objects(spark, path).filter(guessIsTarget).count()
 
   /** Aggregation: objects per target language; returns the group count. */
   def groupQuery(spark: SparkSession, path: String): Long =
     objects(spark, path)
-      .map(o => (o.lookup("target").map(_.stringValue).getOrElse(""), 1L))
+      .map(o => (str(o, "target"), 1L))
       .reduceByKey(_ + _)
       .count()
 
-  private val sortOrdering: Ordering[(String, String, String)] =
+  /** The sort's key and its order: target ASC, country DESC, date DESC. */
+  private[baselines] def sortKey(o: Item): (String, String, String) =
+    (str(o, "target"), str(o, "country"), str(o, "date"))
+
+  private[baselines] val sortOrdering: Ordering[(String, String, String)] =
     new Ordering[(String, String, String)] {
       def compare(a: (String, String, String), b: (String, String, String)): Int = {
-        var c = a._1.compareTo(b._1)          // target ASC
-        if (c == 0) c = b._2.compareTo(a._2)  // country DESC
-        if (c == 0) c = b._3.compareTo(a._3)  // date DESC
+        var c = a._1.compareTo(b._1)
+        if (c == 0) c = b._2.compareTo(a._2)
+        if (c == 0) c = b._3.compareTo(a._3)
         c
       }
     }
@@ -45,18 +51,13 @@ object RawSparkBaseline {
     * DESC, date DESC); writes JSON lines to `out` to force the sort. */
   def sortQuery(spark: SparkSession, path: String, out: String): Unit =
     objects(spark, path)
-      .filter { o =>
-        (o.lookup("guess"), o.lookup("target")) match {
-          case (Some(g), Some(t)) => g == t
-          case _                  => false
-        }
-      }
-      .sortBy(o => (str(o, "target"), str(o, "country"), str(o, "date")))(
-        sortOrdering, implicitly)
+      .filter(guessIsTarget)
+      .sortBy(sortKey)(sortOrdering, implicitly)
       .map(JsonWriter.write)
       .saveAsTextFile(out)
 
-  private def str(o: Item, k: String): String =
+  /** The string value of member `k`, or "" when it is absent. */
+  private[baselines] def str(o: Item, k: String): String =
     o.lookup(k).map(_.stringValue).getOrElse("")
 
   /** Reddit: highly filtering query (score >= threshold), §6.5/§6.6. */

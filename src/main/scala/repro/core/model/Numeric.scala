@@ -59,7 +59,7 @@ object Numeric {
   }
 }
 
-/** An arithmetic operator, picked once per symbol by the translator. `+`,
+/** An arithmetic operator, named by its symbol (`Builtins.operators`). `+`,
   * `-` and `*` overflow from the `Long` case into the decimal case; `div`,
   * `idiv` and `mod` raise FOAR0001 for a zero divisor in the `Long` and
   * decimal cases. Two integers `div` to a double. */
@@ -68,9 +68,6 @@ sealed abstract class Arithmetic(symbol: String) extends Numeric[Item] {
 }
 
 object Arithmetic {
-  def apply(symbol: String): Arithmetic =
-    Seq(Add, Subtract, Multiply, Div, IDiv, Mod).find(_.toString == symbol).get
-
   private def decimal(v: Dec): Item = DecimalItem(BigDecimal(v))
 
   sealed abstract class Exact(symbol: String, long: (Long, Long) => Long,

@@ -23,23 +23,9 @@ case object ContextItemExpr extends ExprAst
 /** `e1, e2, ...` — sequence concatenation. */
 final case class CommaExpr(exprs: List[ExprAst]) extends ExprAst
 
-/** `a to b` — integer range. */
-final case class ToRangeExpr(from: ExprAst, to: ExprAst) extends ExprAst
-
-/** `+ - * div idiv mod`. */
-final case class ArithmeticExpr(op: String, lhs: ExprAst, rhs: ExprAst) extends ExprAst
-
-/** Unary minus. */
-final case class UnaryMinusExpr(expr: ExprAst) extends ExprAst
-
-/** Value comparison: `eq ne lt le gt ge` (symbols are aliases). */
-final case class ComparisonExpr(op: String, lhs: ExprAst, rhs: ExprAst) extends ExprAst
-
-final case class AndExpr(lhs: ExprAst, rhs: ExprAst)  extends ExprAst
-final case class OrExpr(lhs: ExprAst, rhs: ExprAst)   extends ExprAst
-
-/** `e1 || e2` — string concatenation. */
-final case class StringConcatExpr(lhs: ExprAst, rhs: ExprAst) extends ExprAst
+/** An operator on its operands: `unary-minus` on one, a binary operator of
+  * `Parser.levels` on two (a symbol comparison is named by its keyword). */
+final case class OperatorExpr(op: String, operands: List[ExprAst]) extends ExprAst
 
 final case class IfExpr(cond: ExprAst, thenE: ExprAst, elseE: ExprAst) extends ExprAst
 

@@ -96,7 +96,7 @@ object Lexer {
         }
         val text = query.substring(start, pos)
         out += TNumber(
-          if (isIntegral) text.toLongOption.fold[Item](DecimalItem(BigDecimal(text)))(IntItem(_))
+          if (isIntegral) Item.integer(BigDecimal(text))
           else if (isDouble) DoubleItem(text.toDouble)
           else DecimalItem(BigDecimal(text)))
       } else {

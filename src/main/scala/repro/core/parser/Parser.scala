@@ -4,9 +4,8 @@ import repro.core.model._
 
 /** Hand-written recursive-descent parser for the JSONiq subset (§5.2).
   *
-  * Operator precedence, lowest to highest:
-  * comma < or < and < comparison < string-concat < range (`to`)
-  * < additive < multiplicative < unary < postfix (lookup/unbox/predicate).
+  * Operator precedence, lowest to highest: comma < the binary operators
+  * (`levels`) < unary < postfix (lookup/unbox/predicate).
   *
   * FLWOR expressions must start with `for` or `let` and end with `return`;
   * clauses may be combined and ordered at will in between (paper §2.3).
@@ -72,8 +71,7 @@ final class Parser(tokens: Vector[Token]) {
 
   private def parseExprSingle(): ExprAst = peek match {
     case TName("for") | TName("let") if peekAt(1).isInstanceOf[TVar] => parseFlwor()
-    case TName("if") if peekAt(1) == TPunct("(")                    => parseIf()
-    case _                                                          => parseOr()
+    case _                                                          => parseBinary(0)
   }
 
   private def parseIf(): ExprAst = {
@@ -135,70 +133,44 @@ final class Parser(tokens: Vector[Token]) {
 
   // ----------------------------------------------------------- operators
 
-  private def parseOr(): ExprAst = {
-    var lhs = parseAnd()
-    while (accept("or")) lhs = OrExpr(lhs, parseAnd())
-    lhs
-  }
-
-  private def parseAnd(): ExprAst = {
-    var lhs = parseComparison()
-    while (accept("and")) lhs = AndExpr(lhs, parseComparison())
-    lhs
-  }
-
-  private val namedCmp  = Set("eq", "ne", "lt", "le", "gt", "ge")
+  /** The binary operators, lowest precedence first, each level with
+    * whether it chains to the left (`a - b - c`) or takes at most one
+    * operator (`a eq b`, `a to b`: `1 eq 1 eq 1` is XPST0003). */
+  private val levels: Vector[(Set[String], Boolean)] = Vector(
+    Set("or")                               -> true,
+    Set("and")                              -> true,
+    Set("eq", "ne", "lt", "le", "gt", "ge") -> false,
+    Set("||")                               -> true,
+    Set("to")                               -> false,
+    Set("+", "-")                           -> true,
+    Set("*", "div", "idiv", "mod")          -> true,
+  )
   private val symbolCmp = Map("=" -> "eq", "!=" -> "ne", "<" -> "lt",
                               "<=" -> "le", ">" -> "gt", ">=" -> "ge")
 
-  private def parseComparison(): ExprAst = {
-    val lhs = parseStringConcat()
-    peek match {
-      case TName(op) if namedCmp(op) =>
-        advance(); ComparisonExpr(op, lhs, parseStringConcat())
-      case TPunct(p) if symbolCmp.contains(p) =>
-        advance(); ComparisonExpr(symbolCmp(p), lhs, parseStringConcat())
-      case _ => lhs
+  /** The operator the next token would name; a symbol comparison names its keyword. */
+  private def operator: String = peek match {
+    case TName(s)  => s
+    case TPunct(s) => symbolCmp.getOrElse(s, s)
+    case _         => ""
+  }
+
+  private def parseBinary(level: Int): ExprAst =
+    if (level == levels.size) parseUnary()
+    else {
+      val (ops, chains) = levels(level)
+      var lhs           = parseBinary(level + 1)
+      var op            = operator
+      while (ops(op)) {
+        advance()
+        lhs = OperatorExpr(op, List(lhs, parseBinary(level + 1)))
+        op = if (chains) operator else ""
+      }
+      lhs
     }
-  }
-
-  private def parseStringConcat(): ExprAst = {
-    var lhs = parseRange()
-    while (peek == TPunct("||")) { advance(); lhs = StringConcatExpr(lhs, parseRange()) }
-    lhs
-  }
-
-  private def parseRange(): ExprAst = {
-    val lhs = parseAdditive()
-    if (accept("to")) ToRangeExpr(lhs, parseAdditive()) else lhs
-  }
-
-  private def parseAdditive(): ExprAst = {
-    var lhs = parseMultiplicative()
-    var more = true
-    while (more) peek match {
-      case TPunct("+") => advance(); lhs = ArithmeticExpr("+", lhs, parseMultiplicative())
-      case TPunct("-") => advance(); lhs = ArithmeticExpr("-", lhs, parseMultiplicative())
-      case _           => more = false
-    }
-    lhs
-  }
-
-  private def parseMultiplicative(): ExprAst = {
-    var lhs = parseUnary()
-    var more = true
-    while (more) peek match {
-      case TPunct("*")    => advance(); lhs = ArithmeticExpr("*", lhs, parseUnary())
-      case TName("div")   => advance(); lhs = ArithmeticExpr("div", lhs, parseUnary())
-      case TName("idiv")  => advance(); lhs = ArithmeticExpr("idiv", lhs, parseUnary())
-      case TName("mod")   => advance(); lhs = ArithmeticExpr("mod", lhs, parseUnary())
-      case _              => more = false
-    }
-    lhs
-  }
 
   private def parseUnary(): ExprAst = peek match {
-    case TPunct("-") => advance(); UnaryMinusExpr(parseUnary())
+    case TPunct("-") => advance(); OperatorExpr("unary-minus", List(parseUnary()))
     case TPunct("+") => advance(); parseUnary()
     case _           => parsePostfix()
   }

@@ -2,16 +2,10 @@ package repro.core.runtime
 
 import org.apache.spark.rdd.RDD
 import repro.core.model._
-import repro.core.runtime.flwor.KeyEncoder
 
 /** Literal atomic value. */
 final class LiteralIterator(item: Item) extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] = Iterator.single(item)
-}
-
-/** `()` — the empty sequence. */
-final class EmptySequenceIterator extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] = Iterator.empty
 }
 
 /** `$name` — variable reference, resolved against the dynamic context. */
@@ -29,8 +23,8 @@ final class ContextItemIterator extends RuntimeIterator {
     }
 }
 
-/** `e1, e2, ...` — sequence concatenation. RDD-capable when every child is
-  * (union of the children's RDDs); otherwise children are drained locally. */
+/** `e1, e2, ...` and `()` — sequence concatenation. RDD-capable when every
+  * child is (union of the children's RDDs); otherwise children are drained locally. */
 final class CommaIterator(children: List[RuntimeIterator]) extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] =
     children.iterator.flatMap(_.localIterator(ctx))
@@ -38,76 +32,6 @@ final class CommaIterator(children: List[RuntimeIterator]) extends RuntimeIterat
     children.nonEmpty && children.forall(_.isRDD(ctx))
   override def getRDD(ctx: DynamicContext): RDD[Item] =
     children.map(_.getRDD(ctx)).reduce(_ union _)
-}
-
-/** `a to b` — integer range (inclusive); empty operand or a > b → empty. */
-final class RangeIterator(from: RuntimeIterator, to: RuntimeIterator) extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    (from.materializeAtMostOne(ctx), to.materializeAtMostOne(ctx)) match {
-      case (Some(a), Some(b)) =>
-        val (lo, hi) = (asLong(a), asLong(b))
-        if (lo > hi) Iterator.empty else (lo to hi).iterator.map(IntItem.apply)
-      case _ => Iterator.empty
-    }
-  private def asLong(i: Item): Long =
-    if (i.isInteger) i.asInstanceOf[IntItem].value
-    else throw new RumbleException("XPTY0004", s"'to' requires integers, got $i")
-}
-
-/** An operator on one item of each operand; an empty operand → empty result (XQuery). */
-abstract class BinaryIterator(lhs: RuntimeIterator, rhs: RuntimeIterator) extends RuntimeIterator {
-  protected def apply(a: Item, b: Item): Item
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    (lhs.materializeAtMostOne(ctx), rhs.materializeAtMostOne(ctx)) match {
-      case (Some(a), Some(b)) => Iterator.single(apply(a, b))
-      case _                  => Iterator.empty
-    }
-}
-
-/** Arithmetic `+ - * div idiv mod` under [[Numeric]]'s promotion rule. */
-final class ArithmeticIterator(op: Arithmetic, lhs: RuntimeIterator, rhs: RuntimeIterator)
-    extends BinaryIterator(lhs, rhs) {
-  protected def apply(a: Item, b: Item): Item = op(a, b)
-}
-
-final class UnaryMinusIterator(child: RuntimeIterator) extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    child.materializeAtMostOne(ctx).iterator.map(Numeric.negate)
-}
-
-/** Value comparison `eq ne lt le gt ge` by [[KeyEncoder.compareAtomics]]. */
-final class ComparisonIterator(op: ValueComparison, lhs: RuntimeIterator, rhs: RuntimeIterator)
-    extends BinaryIterator(lhs, rhs) {
-  protected def apply(a: Item, b: Item): Item = BooleanItem(op.holds(KeyEncoder.compareAtomics(a, b)))
-}
-
-/** The value comparison written `symbol`, as the orders it holds for; two
-  * numbers that a NaN leaves unordered satisfy only `ne` (XQuery). */
-final class ValueComparison(symbol: String) extends Serializable {
-  private val (lt, eq, gt) =
-    (Set("lt", "le", "ne")(symbol), Set("eq", "le", "ge")(symbol), Set("gt", "ge", "ne")(symbol))
-  def holds(c: Int): Boolean =
-    if (c == Numeric.Unordered) lt && gt else if (c < 0) lt else if (c > 0) gt else eq
-}
-
-final class AndIterator(lhs: RuntimeIterator, rhs: RuntimeIterator) extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    Iterator.single(BooleanItem(lhs.effectiveBoolean(ctx) && rhs.effectiveBoolean(ctx)))
-}
-
-final class OrIterator(lhs: RuntimeIterator, rhs: RuntimeIterator) extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] =
-    Iterator.single(BooleanItem(lhs.effectiveBoolean(ctx) || rhs.effectiveBoolean(ctx)))
-}
-
-/** `e1 || e2` — string concatenation; empty operands become "". */
-final class StringConcatIterator(lhs: RuntimeIterator, rhs: RuntimeIterator)
-    extends RuntimeIterator {
-  protected def compute(ctx: DynamicContext): Iterator[Item] = {
-    def str(o: Option[Item]) = o.map(_.castToString).getOrElse("")
-    Iterator.single(
-      StringItem(str(lhs.materializeAtMostOne(ctx)) + str(rhs.materializeAtMostOne(ctx))))
-  }
 }
 
 final class IfIterator(cond: RuntimeIterator, thenE: RuntimeIterator, elseE: RuntimeIterator)

@@ -82,13 +82,22 @@ final case class Builtin(minArgs: Int, maxArgs: Int,
     else s"$minArgs to $maxArgs"
 }
 
-/** A call of a builtin whose result `body` computes from the argument
-  * iterators. Aggregations over RDD-backed arguments run as Spark actions
+/** A call of a builtin or an operator whose result `body` computes from
+  * the argument iterators. Aggregations over RDD-backed arguments run as Spark actions
   * (count/sum/... on the cluster, §4.1.2 / §5.5) and return a local
   * singleton — invisible to the caller. */
 final class FunctionIterator(args: List[RuntimeIterator], body: Builtins.Body)
     extends RuntimeIterator {
   protected def compute(ctx: DynamicContext): Iterator[Item] = body(args, ctx)
+}
+
+/** The value comparison written `symbol`, as the orders it holds for; two
+  * numbers that a NaN leaves unordered satisfy only `ne` (XQuery). */
+final class ValueComparison(symbol: String) extends Serializable {
+  private val (lt, eq, gt) =
+    (Set("lt", "le", "ne")(symbol), Set("eq", "le", "ge")(symbol), Set("gt", "ge", "ne")(symbol))
+  def holds(c: Int): Boolean =
+    if (c == Numeric.Unordered) lt && gt else if (c < 0) lt else if (c > 0) gt else eq
 }
 
 /** The builtin function library. The translator resolves every function
@@ -164,6 +173,25 @@ object Builtins {
         a.head.localIterator(ctx).map(_.castToString).mkString(a.lift(1).fold("")(str(_, ctx)))))),
   )
 
+  /** The operators by `OperatorExpr` name: F&O defines each as a function
+    * (`op:numeric-add`, …), so each is a builtin body, built once here. They
+    * stay out of [[registry]]: `eq(1, 2)` calls no function, XPST0017. */
+  val operators: Map[String, Builtin] = Map(
+    "or"  -> fn(2, 2)((a, ctx) =>
+      Iterator.single(BooleanItem(a(0).effectiveBoolean(ctx) || a(1).effectiveBoolean(ctx)))),
+    "and" -> fn(2, 2)((a, ctx) =>
+      Iterator.single(BooleanItem(a(0).effectiveBoolean(ctx) && a(1).effectiveBoolean(ctx)))),
+    "||"  -> fn(2, 2)((a, ctx) => Iterator.single(StringItem(str(a(0), ctx) + str(a(1), ctx)))),
+    "to"  -> binary(range),
+    "unary-minus" -> unary((a, ctx) => a.head.materializeAtMostOne(ctx).iterator.map(Numeric.negate)),
+  ) ++ Seq(Arithmetic.Add, Arithmetic.Subtract, Arithmetic.Multiply,
+           Arithmetic.Div, Arithmetic.IDiv, Arithmetic.Mod).map { op =>
+    op.toString -> binary((x, y) => Iterator.single(op(x, y)))
+  } ++ Seq("eq", "ne", "lt", "le", "gt", "ge").map { symbol =>
+    val op = new ValueComparison(symbol)
+    symbol -> binary((x, y) => Iterator.single(BooleanItem(op.holds(KeyEncoder.compareAtomics(x, y)))))
+  }
+
   /** The runtime iterator of a call to `name`, or XPST0017 if no builtin
     * of that name takes `args.size` arguments. */
   def resolve(name: String, args: List[RuntimeIterator]): RuntimeIterator =
@@ -181,6 +209,20 @@ object Builtins {
 
   private def nonEmpty(a: RuntimeIterator, ctx: DynamicContext): Boolean =
     if (a.isRDD(ctx)) !a.getRDD(ctx).isEmpty() else a.localIterator(ctx).hasNext
+
+  /** An operator on one item of each operand; an empty operand gives the empty sequence. */
+  private def binary(op: (Item, Item) => Iterator[Item]): Builtin = fn(2, 2) { (a, ctx) =>
+    (a(0).materializeAtMostOne(ctx), a(1).materializeAtMostOne(ctx)) match {
+      case (Some(x), Some(y)) => op(x, y)
+      case _                  => Iterator.empty
+    }
+  }
+
+  /** `a to b`: the integers from a to b, none when a > b. */
+  private def range(a: Item, b: Item): Iterator[Item] = (a, b) match {
+    case (IntItem(lo), IntItem(hi)) => (lo to hi).iterator.map(IntItem.apply)
+    case _ => throw new RumbleException("XPTY0004", s"'to' requires integers, got $a and $b")
+  }
 
   // ----------------------------------------------------------- aggregates
 

@@ -210,10 +210,10 @@ object KeyEncoder {
     StructField(name + "_r", IntegerType, nullable = false),
     StructField(name + "_s", StringType, nullable = false))
 
-  /** §4.8's first pass: the value ranks (false to number) of one sort
-    * spec's keys must be comparable; empty and null go with anything. */
-  def checkOrderRanks(ranks: Seq[Int], specIndex: Int): Unit =
-    if (ranks.filter(r => r >= False && r <= Num).map(family).distinct.size > 1)
+  /** §4.8's first pass: the value ranks (false to number) in one sort spec's
+    * `mask` (bit `r` for rank `r`) must be comparable; empty and null go with anything. */
+  def checkOrderRanks(mask: Int, specIndex: Int): Unit =
+    if (Seq(1 << False | 1 << True, 1 << Str, 1 << Num).count(f => (mask & f) != 0) > 1)
       throw new RumbleException(
         "XPTY0004", s"incompatible types in order-by key ${specIndex + 1}")
 }
@@ -420,7 +420,7 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
       rows.foreach(r => for (i <- 0 until n) m(i) |= 1 << r.getInt(i))
       Iterator.single(m)
     }.collect().foldLeft(new Array[Int](n))((a, b) => a.zip(b).map { case (x, y) => x | y })
-    for (i <- 0 until n) KeyEncoder.checkOrderRanks((0 to 9).filter(r => (masks(i) >> r & 1) == 1), i)
+    for (i <- 0 until n) KeyEncoder.checkOrderRanks(masks(i), i)
     val order = specs.zipWithIndex.flatMap { case (spec, i) =>
       KeyEncoder.fields(s"k$i").map(f => if (spec.descending) col(f.name).desc else col(f.name).asc)
     }
@@ -435,18 +435,17 @@ final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
   }
 
   def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
-    val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String)])]
+    val buf   = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String)])]
+    val masks = new Array[Int](specs.size) // the ranks of each spec's keys, as `sortedFrame`'s
     input.tupleIterator(ctx).foreach { t =>
       HeapModel.check(ctx.conf.heapModelCap, buf.size + 1L)
       val keys = specs.map { spec =>
         KeyEncoder.encodeOrder(spec.expr.materialize(ctx.bindAll(t.bindings)), spec.emptyGreatest)
       }.toArray
+      for (i <- keys.indices) masks(i) |= 1 << keys(i)._1
       buf += ((t, keys))
     }
-    // type check across the whole stream, per spec
-    specs.indices.foreach { i =>
-      KeyEncoder.checkOrderRanks(buf.map(_._2(i)._1).distinct.toSeq, i)
-    }
+    for (i <- masks.indices) KeyEncoder.checkOrderRanks(masks(i), i)
     // the first spec whose keys differ decides, in its direction
     val sorted = buf.sortWith { (a, b) =>
       val i = specs.indices.indexWhere(i => KeyEncoder.compare(a._2(i), b._2(i)) != 0)

@@ -49,25 +49,9 @@ object Translator {
         throw new StaticException("XPST0008", "$$ used outside of a predicate")
       new ContextItemIterator
 
-    case CommaExpr(Nil)   => new EmptySequenceIterator
     case CommaExpr(parts) => new CommaIterator(parts.map(translateExpr(_, sc)))
 
-    case ToRangeExpr(a, b) =>
-      new RangeIterator(translateExpr(a, sc), translateExpr(b, sc))
-
-    case ArithmeticExpr(op, a, b) =>
-      new ArithmeticIterator(Arithmetic(op), translateExpr(a, sc), translateExpr(b, sc))
-
-    case UnaryMinusExpr(e) => new UnaryMinusIterator(translateExpr(e, sc))
-
-    case ComparisonExpr(op, a, b) =>
-      new ComparisonIterator(new ValueComparison(op), translateExpr(a, sc), translateExpr(b, sc))
-
-    case AndExpr(a, b) => new AndIterator(translateExpr(a, sc), translateExpr(b, sc))
-    case OrExpr(a, b)  => new OrIterator(translateExpr(a, sc), translateExpr(b, sc))
-
-    case StringConcatExpr(a, b) =>
-      new StringConcatIterator(translateExpr(a, sc), translateExpr(b, sc))
+    case OperatorExpr(op, operands) => Builtins.operators(op).make(operands.map(translateExpr(_, sc)))
 
     case IfExpr(c, t, e) =>
       new IfIterator(translateExpr(c, sc), translateExpr(t, sc), translateExpr(e, sc))
@@ -198,17 +182,18 @@ object Translator {
     case _ => (None, None)
   }
 
-  /** Builtins whose result is always one boolean. */
+  /** Builtins and operators whose result is always one boolean. */
   private val booleanFunctions = Set("boolean", "not", "empty", "exists", "contains", "starts-with")
+  private val booleanOperators = Set("eq", "ne", "lt", "le", "gt", "ge", "and", "or")
 
   /** True when `p` never yields a number: a comparison, `and`/`or`, a
     * boolean literal or a boolean builtin. A predicate over it filters by
     * EBV and never selects by position. */
   private def isBoolean(p: ExprAst): Boolean = p match {
-    case _: ComparisonExpr | _: AndExpr | _: OrExpr => true
-    case LiteralExpr(BooleanItem(_))                => true
-    case FunctionCallExpr(name, _)                  => booleanFunctions.contains(name)
-    case _                                          => false
+    case OperatorExpr(op, _)         => booleanOperators.contains(op)
+    case LiteralExpr(BooleanItem(_)) => true
+    case FunctionCallExpr(name, _)   => booleanFunctions.contains(name)
+    case _                           => false
   }
 
   /** True when the return expression provably yields exactly one item per
@@ -313,13 +298,7 @@ object Translator {
 
   private def mapChildren(ast: ExprAst, f: ExprAst => ExprAst): ExprAst = ast match {
     case CommaExpr(parts)             => CommaExpr(parts.map(f))
-    case ToRangeExpr(a, b)            => ToRangeExpr(f(a), f(b))
-    case ArithmeticExpr(op, a, b)     => ArithmeticExpr(op, f(a), f(b))
-    case UnaryMinusExpr(e)            => UnaryMinusExpr(f(e))
-    case ComparisonExpr(op, a, b)     => ComparisonExpr(op, f(a), f(b))
-    case AndExpr(a, b)                => AndExpr(f(a), f(b))
-    case OrExpr(a, b)                 => OrExpr(f(a), f(b))
-    case StringConcatExpr(a, b)       => StringConcatExpr(f(a), f(b))
+    case OperatorExpr(op, operands)   => OperatorExpr(op, operands.map(f))
     case IfExpr(c, t, e)              => IfExpr(f(c), f(t), f(e))
     case ObjectConstructorExpr(pairs) =>
       ObjectConstructorExpr(pairs.map { case (k, e) => (k, f(e)) })

@@ -48,6 +48,10 @@ class ErrorSemanticsSpec extends RumbleSpec {
       if (b.minArgs > 0) staticError(call(name, b.minArgs - 1), "XPST0017")
     }
   }
+  test("an operator's name calls no function (XPST0017)") {
+    Seq("eq(1, 2)", "and(1, 2)", "or(1, 2)", "to(1, 2)", "div(1, 2)", "idiv(1, 2)", "mod(1, 2)")
+      .foreach(staticError(_, "XPST0017"))
+  }
   test("grouping variable must be in scope") {
     staticError("for $x in 1 group by $zzz return 1")
   }

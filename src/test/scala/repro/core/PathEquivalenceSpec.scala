@@ -324,6 +324,44 @@ class PathEquivalenceSpec extends RumbleSpec {
       assert(outcome(rumble, q) == Left("FOAR0002") && outcome(rumbleLocal, q) == Left("FOAR0002"), q)
   }
 
+  test("Spark and local agree: every operator inside a where") {
+    val objs = """parallelize(({"n": 10, "s": "x"}, {"n": 8, "s": "y"}, {"n": 2}), 3)"""
+    for ((where, wanted) <- Seq(
+      // chaining levels associate to the left
+      "$o.n - 4 - 3 eq 3"                    -> Right(List("10")),
+      "$o.n div 2 div 2 eq 2"                -> Right(List("8")),
+      "$o.s || \"-\" || $o.n eq \"x-10\""  -> Right(List("10")),
+      "$o.n eq 10 or $o.n eq 8 and $o.n lt 3" -> Right(List("10")),
+      // each operator; an empty operand of || reads as ""
+      "$o.s || $o.n eq \"2\""                -> Right(List("2")),
+      "$o.n + 1 ge 9 and $o.n le 8"          -> Right(List("8")),
+      "$o.n * 2 eq 20"                       -> Right(List("10")),
+      "$o.n idiv 4 eq 2"                     -> Right(List("10", "8")),
+      "$o.n mod 4 eq 2"                      -> Right(List("10", "2")),
+      "-$o.n lt -5"                          -> Right(List("10", "8")),
+      "count(1 to $o.n) eq 8"                -> Right(List("8")),
+      "$o.n eq 8"  -> Right(List("8")),        "$o.n = 8"  -> Right(List("8")),
+      "$o.n ne 8"  -> Right(List("10", "2")),  "$o.n != 8" -> Right(List("10", "2")),
+      "$o.n lt 8"  -> Right(List("2")),        "$o.n < 8"  -> Right(List("2")),
+      "$o.n le 8"  -> Right(List("8", "2")),   "$o.n <= 8" -> Right(List("8", "2")),
+      "$o.n gt 8"  -> Right(List("10")),       "$o.n > 8"  -> Right(List("10")),
+      "$o.n ge 8"  -> Right(List("10", "8")),  "$o.n >= 8" -> Right(List("10", "8")),
+      // an empty operand gives the empty sequence
+      "$o.m + 1"                             -> Right(Nil),
+      "count(1 to $o.m) eq 0"                -> Right(List("10", "8", "2")),
+      "not($o.m eq 1)"                       -> Right(List("10", "8", "2")),
+      // and, or read their right operand only when they need it
+      "$o.n lt 5 and $o.s + 1 eq 2"          -> Right(Nil),
+      "$o.n gt 5 or $o.s + 1 eq 2"           -> Right(List("10", "8")),
+      // errors
+      "$o.s + 1 eq 2"                        -> Left("XPTY0004"),
+      "-$o.s"                                -> Left("XPTY0004"),
+      "$o.s lt 1"                            -> Left("XPTY0004"),
+      "count(1 to $o.s) eq 0"                -> Left("XPTY0004"),
+      "$o.n idiv ($o.n - $o.n) eq 0"         -> Left("FOAR0001"),
+    )) both(s"for $$o in $objs where $where return $$o.n", wanted)
+  }
+
   // twelve part files written in shuffled order, so that the directory's
   // own order is not the order of their names
   private lazy val shuffledDir = tempJsonDir("shuffled-parts",

@@ -70,11 +70,12 @@ class TupleSchemaSpec extends AnyFunSuite {
   }
 
   test("checkOrderRanks accepts compatible, rejects mixed") {
-    KeyEncoder.checkOrderRanks(Seq(0, 1, 5), 0)       // empty, null, number
-    KeyEncoder.checkOrderRanks(Seq(2, 3), 0)          // both booleans
-    KeyEncoder.checkOrderRanks(Seq(9, 4), 0)          // empty-greatest + strings
-    assertThrows[RumbleException](KeyEncoder.checkOrderRanks(Seq(4, 5), 0))
-    assertThrows[RumbleException](KeyEncoder.checkOrderRanks(Seq(2, 5), 0))
+    def mask(ranks: Int*) = ranks.map(1 << _).sum
+    KeyEncoder.checkOrderRanks(mask(0, 1, 5), 0)       // empty, null, number
+    KeyEncoder.checkOrderRanks(mask(2, 3), 0)          // both booleans
+    KeyEncoder.checkOrderRanks(mask(9, 4), 0)          // empty-greatest + strings
+    assertThrows[RumbleException](KeyEncoder.checkOrderRanks(mask(4, 5), 0))
+    assertThrows[RumbleException](KeyEncoder.checkOrderRanks(mask(2, 5), 0))
   }
 
   test("dynamic context chains and shadows") {

@@ -99,21 +99,42 @@ class ParserSpec extends AnyFunSuite {
     assert(Parser.parse("null") == LiteralExpr(NullItem))
   }
 
+  private def lit(i: Long) = LiteralExpr(IntItem(i))
+  private def op(name: String, operands: ExprAst*) = OperatorExpr(name, operands.toList)
+
   test("parses operator precedence") {
     assert(Parser.parse("1 + 2 * 3") ==
-      ArithmeticExpr("+", LiteralExpr(IntItem(1)),
-        ArithmeticExpr("*", LiteralExpr(IntItem(2)), LiteralExpr(IntItem(3)))))
+      op("+", lit(1), op("*", lit(2), lit(3))))
     assert(Parser.parse("1 + 2 eq 3") ==
-      ComparisonExpr("eq",
-        ArithmeticExpr("+", LiteralExpr(IntItem(1)), LiteralExpr(IntItem(2))),
-        LiteralExpr(IntItem(3))))
+      op("eq", op("+", lit(1), lit(2)), lit(3)))
     assert(Parser.parse("1 eq 1 and 2 eq 2") ==
-      AndExpr(
-        ComparisonExpr("eq", LiteralExpr(IntItem(1)), LiteralExpr(IntItem(1))),
-        ComparisonExpr("eq", LiteralExpr(IntItem(2)), LiteralExpr(IntItem(2)))))
+      op("and", op("eq", lit(1), lit(1)), op("eq", lit(2), lit(2))))
     assert(Parser.parse("true or false and false") ==
-      OrExpr(LiteralExpr(BooleanItem(true)),
-        AndExpr(LiteralExpr(BooleanItem(false)), LiteralExpr(BooleanItem(false)))))
+      op("or", LiteralExpr(BooleanItem(true)),
+        op("and", LiteralExpr(BooleanItem(false)), LiteralExpr(BooleanItem(false)))))
+  }
+
+  test("each operator level chains to the left, or takes one operator") {
+    val s = (v: String) => LiteralExpr(StringItem(v))
+    for ((q, tree) <- Seq(
+      "1 or 2 or 3"         -> op("or", op("or", lit(1), lit(2)), lit(3)),
+      "1 and 2 and 3"       -> op("and", op("and", lit(1), lit(2)), lit(3)),
+      "1 eq 2 || 3"         -> op("eq", lit(1), op("||", lit(2), lit(3))),
+      "\"a\" || \"b\" || \"c\"" -> op("||", op("||", s("a"), s("b")), s("c")),
+      "1 || 2 to 3"         -> op("||", lit(1), op("to", lit(2), lit(3))),
+      "1 to 2 + 3"          -> op("to", lit(1), op("+", lit(2), lit(3))),
+      "10 - 4 - 3"          -> op("-", op("-", lit(10), lit(4)), lit(3)),
+      "1 - 2 + 3"           -> op("+", op("-", lit(1), lit(2)), lit(3)),
+      "8 div 2 div 2"       -> op("div", op("div", lit(8), lit(2)), lit(2)),
+      "7 mod 4 idiv 2 * 3"  -> op("*", op("idiv", op("mod", lit(7), lit(4)), lit(2)), lit(3)),
+      "-2 * 3"              -> op("*", op("unary-minus", lit(2)), lit(3)),
+      "- -2"                -> op("unary-minus", op("unary-minus", lit(2))),
+      "-$x.a"               -> op("unary-minus", ObjectLookupExpr(VarRefExpr("x"), "a")),
+    )) assert(Parser.parse(q) == tree, q)
+    for (q <- Seq("1 eq 1 eq 1", "1 < 2 < 3", "1 eq 1 ne 1", "1 to 2 to 3")) {
+      val e = intercept[StaticException](Parser.parse(q))
+      assert(e.code == "XPST0003", q)
+    }
   }
 
   test("parses comma sequences at top level only inside parens or top") {
@@ -128,8 +149,7 @@ class ParserSpec extends AnyFunSuite {
     assert(Parser.parse("$x[[1]]") ==
       ArrayLookupExpr(VarRefExpr("x"), LiteralExpr(IntItem(1))))
     assert(Parser.parse("$x[$$ eq 1]") ==
-      PredicateExpr(VarRefExpr("x"),
-        ComparisonExpr("eq", ContextItemExpr, LiteralExpr(IntItem(1)))))
+      PredicateExpr(VarRefExpr("x"), op("eq", ContextItemExpr, lit(1))))
     assert(Parser.parse("$x.a[].b") ==
       ObjectLookupExpr(ArrayUnboxExpr(ObjectLookupExpr(VarRefExpr("x"), "a")), "b"))
   }
@@ -196,6 +216,9 @@ class ParserSpec extends AnyFunSuite {
     assert(Parser.parse("1 < 2") == Parser.parse("1 lt 2"))
     assert(Parser.parse("1 >= 2") == Parser.parse("1 ge 2"))
     assert(Parser.parse("1 != 2") == Parser.parse("1 ne 2"))
+    assert(Parser.parse("1 = 2") == Parser.parse("1 eq 2"))
+    assert(Parser.parse("1 <= 2") == Parser.parse("1 le 2"))
+    assert(Parser.parse("1 > 2") == Parser.parse("1 gt 2"))
   }
 
   test("rejects syntax errors") {
