@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines._
 import repro.core.Rumble
 import repro.core.model.HeapModelExceeded
-import repro.core.runtime.RumbleConf
 import repro.datasets.{ConfusionData, RedditData}
 
 /** The three JSONiq queries of the paper's evaluation (§6.1) over the

@@ -171,7 +171,7 @@ final class Parser(tokens: Vector[Token]) {
 
   private def parseUnary(): ExprAst = peek match {
     case TPunct("-") => advance(); OperatorExpr("unary-minus", List(parseUnary()))
-    case TPunct("+") => advance(); parseUnary()
+    case TPunct("+") => advance(); OperatorExpr("unary-plus", List(parseUnary()))
     case _           => parsePostfix()
   }
 

@@ -42,10 +42,15 @@ final class IfIterator(cond: RuntimeIterator, thenE: RuntimeIterator, elseE: Run
 
 /** `{ "k": v, ... }` — dynamic object construction. A value expression
   * yielding the empty sequence binds null; a multi-item sequence binds an
-  * array (lenient construction, matching Rumble's behaviour). */
+  * array (lenient construction, matching Rumble's behaviour). Two pairs
+  * with one key are JNDY0003. */
 final class ObjectConstructorIterator(pairs: List[(String, RuntimeIterator)])
     extends RuntimeIterator {
+  // keys are literals, so a repeated one is found once, here
+  private val repeated = pairs.map(_._1).diff(pairs.map(_._1).distinct).headOption
+
   protected def compute(ctx: DynamicContext): Iterator[Item] = {
+    repeated.foreach(k => throw new RumbleException("JNDY0003", s"two pairs with key \"$k\""))
     val fields = pairs.map { case (k, e) =>
       val v = e.materialize(ctx) match {
         case Nil         => NullItem

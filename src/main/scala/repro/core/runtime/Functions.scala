@@ -184,6 +184,9 @@ object Builtins {
     "||"  -> fn(2, 2)((a, ctx) => Iterator.single(StringItem(str(a(0), ctx) + str(a(1), ctx)))),
     "to"  -> binary(range),
     "unary-minus" -> unary((a, ctx) => a.head.materializeAtMostOne(ctx).iterator.map(Numeric.negate)),
+    "unary-plus"  -> unary((a, ctx) => a.head.materializeAtMostOne(ctx).iterator.map { x =>
+      if (x.isNumeric) x else throw new RumbleException("XPTY0004", s"not a number: $x")
+    }),
   ) ++ Seq(Arithmetic.Add, Arithmetic.Subtract, Arithmetic.Multiply,
            Arithmetic.Div, Arithmetic.IDiv, Arithmetic.Mod).map { op =>
     op.toString -> binary((x, y) => Iterator.single(op(x, y)))

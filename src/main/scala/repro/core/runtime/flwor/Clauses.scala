@@ -3,118 +3,81 @@ package repro.core.runtime.flwor
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{col, collect_list, first, sum}
-import org.apache.spark.sql.types._
 import repro.core.model._
 import repro.core.runtime._
 
-/** Base of all FLWOR clause runtime iterators (paper §4.2–4.10, §5.8).
+/** Base of all FLWOR clause runtime iterators (paper §4.2–4.10, §5.8): a
+  * map from the tuple stream entering the clause to the one leaving it.
+  * [[FlworIterator]] folds its clause list over one stream, in the form
+  * [[FlworIterator.path]] picks:
   *
-  * A clause consumes the tuple stream of its parent clause and produces its
-  * own, in the form [[FlworIterator.path]] chooses for the whole chain:
-  *
-  *  - '''local''' (`tupleIterator`): pull-based stream of [[FlworTuple]]s;
-  *  - '''Spark''' (`tupleRdd`): an RDD of live tuples. The narrow clauses
-  *    (`for`, `let`, `where`, `count`) map it partition by partition; only
-  *    `group by` and `order by`, which shuffle, encode it into the paper's
-  *    DataFrame (native key columns plus serialized cells, per
-  *    [[TupleSchema]]) and decode the shuffled rows back into tuples.
+  *  - '''local''': an iterator of [[FlworTuple]]s;
+  *  - '''Spark''': an RDD of live tuples. The narrow clauses (`for`, `let`,
+  *    `where`, `count`) map it partition by partition; only `group by` and
+  *    `order by`, which shuffle, encode it into the paper's DataFrame (native
+  *    key columns plus serialized cells, per [[TupleSchema]]) and decode the
+  *    shuffled rows back into tuples.
   */
 abstract class ClauseIterator extends Serializable {
-  /** The previous clause; `None` for the first clause of the FLWOR. */
-  def parent: Option[ClauseIterator]
-  /** The variables this clause's tuples bind, in binding order (§4.3). */
+  /** The variables the clause's output tuples bind, in binding order (§4.3). */
   def vars: Vector[String]
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple]
-  /** The tuple RDD. `read` is passed up the chain to the initial `for`:
-    * when given and that `for` reads `json-file`, each object line is built
-    * with only those top-level keys ([[FlworIterator.keptKeys]]). */
-  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple]
-
-  /** The parent's variables with `v` bound last; rebinding `v` drops the
-    * shadowed binding (paper §4.5). */
-  protected def binding(v: String): Vector[String] =
-    parent.fold(Vector.empty[String])(_.vars).filterNot(_ == v) :+ v
+  def local(in: Iterator[FlworTuple], ctx: DynamicContext): Iterator[FlworTuple]
+  def spark(in: RDD[FlworTuple], ctx: DynamicContext): RDD[FlworTuple]
 }
 
-/** A clause that turns each tuple into tuples on its own (`for`, `let`):
-  * the same `step` runs on the driver's local stream and, under
-  * `ctx.enterClosure`, on each partition of the parent's tuple RDD. */
+object ClauseIterator {
+  /** The in-scope variables with `v` bound last; rebinding `v` drops the
+    * shadowed binding (paper §4.5). */
+  def binding(inScope: Vector[String], v: String): Vector[String] = inScope.filterNot(_ == v) :+ v
+}
+
+/** A clause that turns each tuple into tuples on its own (`for`, `let`,
+  * `where`): the same `step` runs on the driver's local stream and, under
+  * `ctx.enterClosure`, on each partition of the tuple RDD. */
 abstract class NarrowClauseIterator extends ClauseIterator {
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple]
 
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = parent match {
-    case None    => step(FlworTuple.empty, ctx)
-    case Some(p) => p.tupleIterator(ctx).flatMap(step(_, ctx))
-  }
+  def local(in: Iterator[FlworTuple], ctx: DynamicContext): Iterator[FlworTuple] =
+    in.flatMap(step(_, ctx))
 
-  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
+  def spark(in: RDD[FlworTuple], ctx: DynamicContext): RDD[FlworTuple] = {
     val base = ctx.enterClosure
-    parent.get.tupleRdd(ctx, read).mapPartitions(_.flatMap(step(_, base)))
+    in.mapPartitions(_.flatMap(step(_, base)))
   }
 }
 
-/** `for $v in expr` (paper §4.4). As the *initial* clause over an
-  * RDD-capable expression it maps the RDD of items to one-variable tuples;
-  * as a later clause it binds each item of `expr` in a copy of the tuple
-  * (the paper's extended projection followed by EXPLODE). */
-final class ForClauseIterator(
-    val parent: Option[ClauseIterator],
-    varName: String,
-    val expr: RuntimeIterator,
-) extends NarrowClauseIterator {
+/** `for $v in expr` (paper §4.4): binds each item of `expr` in a copy of the
+  * tuple (the paper's extended projection followed by EXPLODE). As the
+  * initial clause over an RDD-capable expression it is the source of the
+  * tuple RDD, which [[FlworIterator]] maps from `expr`'s RDD of items. */
+final class ForClauseIterator(inScope: Vector[String], val varName: String,
+                              val expr: RuntimeIterator)
+    extends NarrowClauseIterator {
 
-  val vars: Vector[String] = binding(varName)
+  val vars: Vector[String] = ClauseIterator.binding(inScope, varName)
 
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
     expr.localIterator(ctx.bindAll(t.bindings)).map(i => t.updated(varName, List(i)))
-
-  override def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] =
-    parent match {
-      case None =>
-        val v = varName
-        val items = expr match {
-          case file: JsonFileIterator => file.getRDD(ctx, read)
-          case _                      => expr.getRDD(ctx)
-        }
-        items.map(item => FlworTuple(Map(v -> List(item))))
-      case Some(_) => super.tupleRdd(ctx, read)
-    }
 }
 
 /** `let $v := expr` (paper §4.5): extended projection without EXPLODE. As
   * the initial clause the execution stays local (paper: "If the let clause
   * is the first clause, we do not support the creation of a DataFrame"). */
-final class LetClauseIterator(
-    val parent: Option[ClauseIterator],
-    varName: String,
-    expr: RuntimeIterator,
-) extends NarrowClauseIterator {
+final class LetClauseIterator(inScope: Vector[String], varName: String, expr: RuntimeIterator)
+    extends NarrowClauseIterator {
 
-  val vars: Vector[String] = binding(varName)
+  val vars: Vector[String] = ClauseIterator.binding(inScope, varName)
 
   protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
     Iterator.single(t.updated(varName, expr.materialize(ctx.bindAll(t.bindings))))
 }
 
-/** `where expr` (paper §4.6): keeps the tuples whose EBV is true — a
-  * filter of the local stream, and of the tuple RDD under
-  * `ctx.enterClosure`. */
-final class WhereClauseIterator(input: ClauseIterator, expr: RuntimeIterator)
-    extends ClauseIterator {
+/** `where expr` (paper §4.6): keeps the tuples whose EBV is true. */
+final class WhereClauseIterator(val vars: Vector[String], expr: RuntimeIterator)
+    extends NarrowClauseIterator {
 
-  def parent: Option[ClauseIterator] = Some(input)
-  val vars: Vector[String]           = input.vars
-
-  private def keeps(t: FlworTuple, ctx: DynamicContext): Boolean =
-    expr.effectiveBoolean(ctx.bindAll(t.bindings))
-
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    input.tupleIterator(ctx).filter(keeps(_, ctx))
-
-  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
-    val base = ctx.enterClosure
-    input.tupleRdd(ctx, read).filter(keeps(_, base))
-  }
+  protected def step(t: FlworTuple, ctx: DynamicContext): Iterator[FlworTuple] =
+    if (expr.effectiveBoolean(ctx.bindAll(t.bindings))) Iterator.single(t) else Iterator.empty
 }
 
 /** How atomics are identified and ordered (paper §4.7–4.8). An atomic's
@@ -205,11 +168,6 @@ object KeyEncoder {
       else throw new RumbleException("XPTY0004", s"items not comparable: $a vs $b")
   }
 
-  /** The DataFrame fields of key `name`: its rank `name_r` and value `name_s`. */
-  def fields(name: String): Seq[StructField] = Seq(
-    StructField(name + "_r", IntegerType, nullable = false),
-    StructField(name + "_s", StringType, nullable = false))
-
   /** §4.8's first pass: the value ranks (false to number) in one sort spec's
     * `mask` (bit `r` for rank `r`) must be comparable; empty and null go with anything. */
   def checkOrderRanks(mask: Int, specIndex: Int): Unit =
@@ -222,25 +180,16 @@ object KeyEncoder {
 final case class OrderSpec(expr: RuntimeIterator, descending: Boolean, emptyGreatest: Boolean)
     extends Serializable
 
-/** How a non-grouping variable is aggregated by group-by (paper §4.7):
-  * Rumble "detects if a non-grouping variable ... is aggregated as a count
-  * rather than materialized — in this case COUNT() is invoked in Spark SQL
-  * instead of materializing the non-grouping values", and drops variables
-  * that are not used at all. */
-object GroupAggMode extends Enumeration {
-  val Materialize, CountOnly, Drop = Value
-}
-
 /** The group-by fold (paper §4.7) over live tuples, shared by the local
-  * group-by and each Spark partition. Per encoded key it keeps the first
-  * tuple (whose key cells all tuples of the group share), the summed
-  * lengths of the CountOnly variables and the concatenated items of the
-  * Materialize variables, in stream order. `entries` counts the groups
+  * group-by and each Spark partition. Per encoded key it keeps the key
+  * cells of the first tuple (all tuples of the group share them), the summed
+  * lengths of the counted variables and the concatenated items of the
+  * kept variables, in stream order. `entries` counts the groups
   * plus the buffered items, which bounds what the fold holds. */
 private final class GroupFold(keys: List[String], counted: Vector[String], kept: Vector[String]) {
   import scala.collection.mutable
 
-  final class Group(val first: FlworTuple) {
+  final class Group(val keyCells: List[List[Item]]) {
     val counts: Array[Long]                   = new Array[Long](counted.size)
     val items: Array[mutable.ListBuffer[Item]] = Array.fill(kept.size)(mutable.ListBuffer.empty[Item])
   }
@@ -255,7 +204,7 @@ private final class GroupFold(keys: List[String], counted: Vector[String], kept:
       case k :: Nil => KeyEncoder.encodeGroup(b.getOrElse(k, Nil))
       case _        => keys.map(k => KeyEncoder.encodeGroup(b.getOrElse(k, Nil)))
     }
-    val g = groups.getOrElseUpdate(key, { entries += 1; new Group(t) })
+    val g = groups.getOrElseUpdate(key, { entries += 1; new Group(keys.map(b.getOrElse(_, Nil))) })
     var i = 0
     while (i < counted.size) { g.counts(i) += b.getOrElse(counted(i), Nil).size; i += 1 }
     i = 0
@@ -282,91 +231,77 @@ private final class GroupFold(keys: List[String], counted: Vector[String], kept:
   * partial groups (starting a new fold whenever it holds [[FlushBound]]
   * entries, so task memory does not grow with the key cardinality) and
   * emits one row per partial group: per key variable its [[KeyEncoder]]
-  * key (a rank and a value column) and its cell; per CountOnly variable
-  * its summed length; per Materialize variable the cell of its
-  * concatenated items.
+  * key (a rank and a value column) and its cell; per counted variable
+  * its summed length; per kept variable the cell of its concatenated items.
   * The paper's GROUP BY then merges the partial rows on the encoded key
   * columns: key variables keep their first (all equal) cell, lengths are
   * summed (COUNT in the paper) and materialized cells are collected and
-  * concatenated (`SEQUENCE()` in the paper); Drop variables are not
-  * written at all, per [[GroupAggMode]].
+  * concatenated (`SEQUENCE()` in the paper).
   *
-  * A CountOnly variable `v` is re-bound under the name `v#count` (the
-  * translator rewrites downstream `count($v)` calls to `$v#count`).
+  * Which non-grouping variables are `kept` (materialized) or `counted` is the
+  * translator's choice (§4.7): Rumble "detects if a non-grouping variable ...
+  * is aggregated as a count rather than materialized — in this case COUNT()
+  * is invoked in Spark SQL instead of materializing the non-grouping
+  * values", and variables in neither list are not written at all. A counted
+  * variable `v` is re-bound under the name `v#count` (the translator
+  * rewrites downstream `count($v)` calls to `$v#count`).
   */
-final class GroupByClauseIterator(
-    input: ClauseIterator,
-    keys: List[String],
-    modes: Map[String, GroupAggMode.Value],
-) extends ClauseIterator {
-
-  private val nonKeys: Vector[String] = input.vars.filterNot(keys.contains)
-  private def modeOf(v: String)       = modes.getOrElse(v, GroupAggMode.Materialize)
-  private val kept    = nonKeys.filter(v => modeOf(v) == GroupAggMode.Materialize)
-  private val counted = nonKeys.filter(v => modeOf(v) == GroupAggMode.CountOnly)
+final class GroupByClauseIterator(keys: List[String], kept: Vector[String],
+                                  counted: Vector[String])
+    extends ClauseIterator {
 
   val vars: Vector[String] = keys.toVector ++ kept ++ counted.map(_ + "#count")
 
-  def parent: Option[ClauseIterator] = Some(input)
+  /** A group's tuple on both paths, from the cell of key `i`, the summed
+    * length of counted variable `i` and the items of kept variable `i`. */
+  private def output(keyCell: Int => List[Item], count: Int => Long,
+                     items: Int => List[Item]): FlworTuple =
+    FlworTuple((keys.indices.map(i => keys(i) -> keyCell(i)) ++
+      counted.indices.map(i => (counted(i) + "#count") -> List[Item](IntItem(count(i)))) ++
+      kept.indices.map(i => kept(i) -> items(i))).toMap)
 
-  /** The GROUP BY's input: each partition's partial groups, one row each. */
-  def partialFrame(ctx: DynamicContext, read: Option[Set[String]]): DataFrame = {
-    val (ks, cs, ms) = (keys, counted, kept)
-    val rows = input.tupleRdd(ctx, read).mapPartitions { ts =>
-      val fold = new GroupFold(ks, cs, ms)
+  /** The GROUP BY's input: each partition's partial groups of `in`, one row each. */
+  def partialFrame(in: RDD[FlworTuple]): DataFrame = {
+    val rows = in.mapPartitions { ts =>
+      val fold = new GroupFold(keys, counted, kept)
       val groups = ts.flatMap { t =>
         fold.add(t)
         if (fold.entries >= GroupByClauseIterator.FlushBound) fold.drain() else Iterator.empty
       } ++ fold.drain()
       groups.map { g =>
-        Row.fromSeq(
-          ks.flatMap { k =>
-            val seq    = g.first.bindings.getOrElse(k, Nil)
-            val (r, s) = KeyEncoder.encodeGroup(seq)
-            Seq(r, s, ItemSerde.serializeSeq(seq))
-          } ++ g.counts ++ g.items.map(b => ItemSerde.serializeSeq(b.toList)))
+        Row.fromSeq(g.keyCells.flatMap(KeyEncoder.encodeGroup(_).productIterator) ++
+          g.keyCells.map(ItemSerde.serializeSeq) ++ g.counts ++
+          g.items.map(b => ItemSerde.serializeSeq(b.toList)))
       }
     }
-    val schema = StructType(
-      ks.indices.flatMap(i => KeyEncoder.fields(s"k$i") :+ StructField(s"c$i", BinaryType)) ++
-        cs.indices.map(i => StructField(s"n$i", LongType)) ++
-        ms.indices.map(i => StructField(s"m$i", BinaryType)))
-    SparkSession.active.createDataFrame(rows, schema)
+    SparkSession.active.createDataFrame(
+      rows, TupleSchema.shuffleRow(keys.size, keys.size, counted.size, kept.size))
   }
 
-  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
-    val (ks, cs, ms) = (keys, counted, kept)
-    val aggs: Seq[Column] = ks.indices.map(i => first(s"c$i")) ++
-      cs.indices.map(i => sum(s"n$i")) ++ ms.indices.map(i => collect_list(s"m$i"))
-    val grouped = partialFrame(ctx, read)
-      .groupBy(ks.indices.flatMap(i => KeyEncoder.fields(s"k$i").map(f => col(f.name))): _*)
+  def spark(in: RDD[FlworTuple], ctx: DynamicContext): RDD[FlworTuple] = {
+    val aggs: Seq[Column] = keys.indices.map(i => first(TupleSchema.cell(i))) ++
+      counted.indices.map(i => sum(TupleSchema.count(i))) ++
+      kept.indices.map(i => collect_list(TupleSchema.items(i)))
+    val grouped = partialFrame(in)
+      .groupBy(keys.indices.flatMap(TupleSchema.key).map(col): _*)
       .agg(aggs.head, aggs.tail: _*)
-    val at = 2 * ks.size
+    val (at, nk, nc) = (2 * keys.size, keys.size, counted.size)
     grouped.rdd.map { row =>
-      val kb = ks.indices.map(i => ks(i) -> ItemSerde.deserializeSeq(row.getAs[Array[Byte]](at + i)))
-      val cb = cs.indices.map(i =>
-        (cs(i) + "#count") -> List[Item](IntItem(row.getLong(at + ks.size + i))))
-      val mb = ms.indices.map(i =>
-        ms(i) -> row.getSeq[Array[Byte]](at + ks.size + cs.size + i).toList
-          .flatMap(ItemSerde.deserializeSeq))
-      FlworTuple((kb ++ cb ++ mb).toMap)
+      output(i => ItemSerde.deserializeSeq(row.getAs[Array[Byte]](at + i)),
+        i => row.getLong(at + nk + i),
+        i => row.getSeq[Array[Byte]](at + nk + nc + i).toList.flatMap(ItemSerde.deserializeSeq))
     }
   }
 
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
+  def local(in: Iterator[FlworTuple], ctx: DynamicContext): Iterator[FlworTuple] = {
     val fold = new GroupFold(keys, counted, kept)
     var n    = 0L
-    input.tupleIterator(ctx).foreach { t =>
+    in.foreach { t =>
       n += 1
       HeapModel.check(ctx.conf.heapModelCap, n)
       fold.add(t)
     }
-    fold.drain().map { g =>
-      val kb = keys.map(k => k -> g.first.bindings.getOrElse(k, Nil))
-      val vb = kept.indices.map(i => kept(i) -> g.items(i).toList)
-      val cb = counted.indices.map(i => (counted(i) + "#count") -> List[Item](IntItem(g.counts(i))))
-      FlworTuple((kb ++ vb ++ cb).toMap)
-    }
+    fold.drain().map(g => output(g.keyCells, g.counts(_), g.items(_).toList))
   }
 }
 
@@ -385,108 +320,102 @@ object GroupByClauseIterator {
   * range-partitioned on the key columns into as many partitions as the
   * input has and sorted within each partition, which is Spark's global
   * ORDER BY with the partition count taken from the data. */
-final class OrderByClauseIterator(input: ClauseIterator, specs: List[OrderSpec],
+final class OrderByClauseIterator(val vars: Vector[String], specs: List[OrderSpec],
                                   val kept: Vector[String])
     extends ClauseIterator {
 
-  def parent: Option[ClauseIterator] = Some(input)
-  val vars: Vector[String]           = input.vars
+  /** The keys of tuple `t`, one per sort spec. */
+  private def keysOf(t: FlworTuple, ctx: DynamicContext): Vector[(Int, String)] = {
+    val c = ctx.bindAll(t.bindings)
+    specs.iterator.map(s => KeyEncoder.encodeOrder(s.expr.materialize(c), s.emptyGreatest)).toVector
+  }
 
-  /** The sorted DataFrame: key columns `k<i>_r/_s`, then the cells of
-    * `kept`, `c0`, `c1`, …. It reads a cache that lives until the query's
-    * context is released. */
-  def sortedFrame(ctx: DynamicContext, read: Option[Set[String]]): DataFrame = {
-    val tuples = input.tupleRdd(ctx, read)
-    val cs     = kept
-    val base   = ctx.enterClosure
-    val ss     = specs
-    val rows = tuples.map { t =>
-      val c = base.bindAll(t.bindings)
-      TupleSchema.rowFromTuple(t, cs, ss.flatMap { s =>
-        KeyEncoder.encodeOrder(s.expr.materialize(c), s.emptyGreatest).productIterator
-      })
-    }
-    val keyFields  = specs.indices.flatMap(i => KeyEncoder.fields(s"k$i"))
-    val cellFields = kept.indices.map(i => StructField(s"c$i", BinaryType))
+  /** Per sort spec `i`, the OR of `b(i)` over each `b` of `bits`: the rank
+    * bits of keys, or the masks of partitions. */
+  private def rankMasks(bits: Iterator[Int => Int]): Array[Int] = {
+    val m = new Array[Int](specs.size)
+    bits.foreach(b => for (i <- m.indices) m(i) |= b(i))
+    m
+  }
+
+  /** §4.8's type pass: XPTY0004 unless each spec's key ranks are comparable. */
+  private def checkRanks(bits: Iterator[Int => Int]): Unit = {
+    val m = rankMasks(bits)
+    for (i <- m.indices) KeyEncoder.checkOrderRanks(m(i), i)
+  }
+
+  /** The sorted DataFrame of `in`: key columns, then the cells of `kept`,
+    * per [[TupleSchema.shuffleRow]]. It reads a cache that lives until the
+    * query's context is released. */
+  def sortedFrame(in: RDD[FlworTuple], ctx: DynamicContext): DataFrame = {
+    val base = ctx.enterClosure
+    val rows = in.map(t => TupleSchema.rowFromTuple(t, kept, keysOf(t, base).flatMap(_.productIterator)))
     // The type-discovery pass, the range sampling and the sort all read the
     // encoded rows — cache them so the input is not recomputed.
     val df = ctx.persistForQuery(SparkSession.active.createDataFrame(
-      rows, StructType(keyFields ++ cellFields)))
-    // §4.8's type pass in one job: per partition a bitmask of the ranks
-    // each spec's keys take, OR-merged here
-    val n = specs.size
-    val masks = df.select(specs.indices.map(i => col(s"k${i}_r")): _*).rdd.mapPartitions { rows =>
-      val m = new Array[Int](n)
-      rows.foreach(r => for (i <- 0 until n) m(i) |= 1 << r.getInt(i))
-      Iterator.single(m)
-    }.collect().foldLeft(new Array[Int](n))((a, b) => a.zip(b).map { case (x, y) => x | y })
-    for (i <- 0 until n) KeyEncoder.checkOrderRanks(masks(i), i)
+      rows, TupleSchema.shuffleRow(specs.size, kept.size)))
+    // the type pass in one job: a mask per partition, OR-merged here
+    checkRanks(df.select(specs.indices.map(i => col(TupleSchema.key(i).head)): _*).rdd
+      .mapPartitions(rows => Iterator.single(rankMasks(rows.map(r => (i: Int) => 1 << r.getInt(i)))))
+      .collect().iterator.map(m => (i: Int) => m(i)))
     val order = specs.zipWithIndex.flatMap { case (spec, i) =>
-      KeyEncoder.fields(s"k$i").map(f => if (spec.descending) col(f.name).desc else col(f.name).asc)
+      TupleSchema.key(i).map(k => if (spec.descending) col(k).desc else col(k).asc)
     }
-    df.repartitionByRange(math.max(1, tuples.getNumPartitions), order: _*)
+    df.repartitionByRange(math.max(1, in.getNumPartitions), order: _*)
       .sortWithinPartitions(order: _*)
   }
 
-  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
-    val cs = kept
-    sortedFrame(ctx, read).select(cs.indices.map(i => col(s"c$i")): _*).rdd
-      .map(TupleSchema.tupleFromRow(_, cs))
-  }
+  def spark(in: RDD[FlworTuple], ctx: DynamicContext): RDD[FlworTuple] =
+    sortedFrame(in, ctx).select(kept.indices.map(i => col(TupleSchema.cell(i))): _*).rdd
+      .map(TupleSchema.tupleFromRow(_, kept))
 
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] = {
-    val buf   = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Array[(Int, String)])]
-    val masks = new Array[Int](specs.size) // the ranks of each spec's keys, as `sortedFrame`'s
-    input.tupleIterator(ctx).foreach { t =>
+  def local(in: Iterator[FlworTuple], ctx: DynamicContext): Iterator[FlworTuple] = {
+    val buf = scala.collection.mutable.ArrayBuffer.empty[(FlworTuple, Vector[(Int, String)])]
+    in.foreach { t =>
       HeapModel.check(ctx.conf.heapModelCap, buf.size + 1L)
-      val keys = specs.map { spec =>
-        KeyEncoder.encodeOrder(spec.expr.materialize(ctx.bindAll(t.bindings)), spec.emptyGreatest)
-      }.toArray
-      for (i <- keys.indices) masks(i) |= 1 << keys(i)._1
-      buf += ((t, keys))
+      buf += ((t, keysOf(t, ctx)))
     }
-    for (i <- masks.indices) KeyEncoder.checkOrderRanks(masks(i), i)
+    checkRanks(buf.iterator.map { case (_, k) => (i: Int) => 1 << k(i)._1 })
     // the first spec whose keys differ decides, in its direction
-    val sorted = buf.sortWith { (a, b) =>
-      val i = specs.indices.indexWhere(i => KeyEncoder.compare(a._2(i), b._2(i)) != 0)
-      i >= 0 && (KeyEncoder.compare(a._2(i), b._2(i)) < 0) != specs(i).descending
-    }
-    sorted.iterator.map(_._1)
+    buf.sortWith { case ((_, a), (_, b)) =>
+      val i = specs.indices.indexWhere(i => KeyEncoder.compare(a(i), b(i)) != 0)
+      i >= 0 && (KeyEncoder.compare(a(i), b(i)) < 0) != specs(i).descending
+    }.iterator.map(_._1)
   }
 }
 
 /** `count $v` (paper §4.9): the tuple RDD's `zipWithIndex`, the technique
   * the paper uses because DataFrames lack it. */
-final class CountClauseIterator(input: ClauseIterator, varName: String) extends ClauseIterator {
+final class CountClauseIterator(inScope: Vector[String], varName: String) extends ClauseIterator {
 
-  def parent: Option[ClauseIterator] = Some(input)
-  val vars: Vector[String]           = binding(varName)
+  val vars: Vector[String] = ClauseIterator.binding(inScope, varName)
 
-  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]]): RDD[FlworTuple] = {
-    val v = varName
-    input.tupleRdd(ctx, read).zipWithIndex().map { case (t, i) => t.updated(v, List(IntItem(i + 1))) }
-  }
+  private def numbered(t: FlworTuple, i: Long): FlworTuple = t.updated(varName, List(IntItem(i + 1)))
 
-  def tupleIterator(ctx: DynamicContext): Iterator[FlworTuple] =
-    input.tupleIterator(ctx).zipWithIndex.map { case (t, i) =>
-      t.updated(varName, List(IntItem(i + 1L)))
-    }
+  def spark(in: RDD[FlworTuple], ctx: DynamicContext): RDD[FlworTuple] =
+    in.zipWithIndex().map { case (t, i) => numbered(t, i) }
+
+  def local(in: Iterator[FlworTuple], ctx: DynamicContext): Iterator[FlworTuple] =
+    in.zipWithIndex.map { case (t, i) => numbered(t, i) }
 }
 
-/** How a FLWOR runs: locally through the clauses' tuple iterators
-  * (`Local`); on Spark as an RDD of live tuples (`Tuples`), which for
+/** How a FLWOR runs: locally through the clauses' `local` (`Local`); on
+  * Spark as an RDD of live tuples (`Tuples`), which for
   * `for … where … return` is the paper's Figure-9 lineage (`for` → map,
-  * `where` → filter, `return` → flatMap, §5.7); or as
+  * `where` → a partition map, `return` → flatMap, §5.7); or as
   * that RDD encoded into the paper's DataFrame at each `group by` /
   * `order by` (`DataFrame`, §4.7–4.8). */
 object FlworPath extends Enumeration {
   val Local, Tuples, DataFrame = Value
 }
 
-/** The whole FLWOR expression (clause chain + `return`, paper §4.10): an
+/** The whole FLWOR expression (clause list + `return`, paper §4.10): an
   * *expression* iterator producing items, run on the path [[path]] picks.
-  * On `Tuples` and `DataFrame`, `return` flat-maps the last clause's tuple
-  * RDD. On `Local` it consumes the clauses' tuples.
+  * On `Local` it folds the clauses' `local` over one empty tuple. On
+  * `Tuples` and `DataFrame` the initial `for`'s items are the source of the
+  * tuple RDD and the later clauses' `spark` fold over it. Either way
+  * `return` flat-maps the last clause's tuples. This is the only code that
+  * picks the source and the keys it reads.
   *
   * @param singletonReturn the translator proved the return expression
   *        yields exactly one item per tuple (a for-bound variable, an
@@ -497,20 +426,21 @@ object FlworPath extends Enumeration {
   *        the clauses read, when they read it only as `$v.key` or `count($v)`
   * @param allKeys the same for the clauses and the return together
   */
-final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
+final class FlworIterator(val clauses: List[ClauseIterator], retExpr: RuntimeIterator,
                           singletonReturn: Boolean, clauseKeys: Option[Set[String]],
                           allKeys: Option[Set[String]])
     extends RuntimeIterator {
 
-  /** The clause chain, first clause first. */
-  private val clauses: List[ClauseIterator] =
-    List.unfold(Option(last))(_.map(c => (c, c.parent))).reverse
+  private val source: Option[ForClauseIterator] = clauses.head match {
+    case f: ForClauseIterator => Some(f)
+    case _                    => None
+  }
 
   /** The one decision of how this FLWOR runs in `ctx`: `Local` inside a
     * closure or unless the first clause is a `for` over an RDD-capable
     * expression; `DataFrame` when a clause shuffles; `Tuples` otherwise. */
-  def path(ctx: DynamicContext): FlworPath.Value = clauses.head match {
-    case f: ForClauseIterator if !ctx.insideClosure && f.expr.isRDD(ctx) =>
+  def path(ctx: DynamicContext): FlworPath.Value = source match {
+    case Some(f) if !ctx.insideClosure && f.expr.isRDD(ctx) =>
       if (clauses.exists {
         case _: GroupByClauseIterator | _: OrderByClauseIterator => true
         case _                                                   => false
@@ -527,6 +457,22 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
   def keptKeys(counting: Boolean): Option[Set[String]] =
     if (counting && singletonReturn) clauseKeys else allKeys
 
+  /** The tuple RDD out of the first `upTo` clauses on a Spark path: the
+    * initial `for`'s items as one-variable tuples (each `json-file` object
+    * built with only the `read` keys), through each later clause's `spark`. */
+  def tupleRdd(ctx: DynamicContext, read: Option[Set[String]],
+               upTo: Int = clauses.size): RDD[FlworTuple] = {
+    val first = source.get
+    val v     = first.varName
+    val items = first.expr match {
+      case file: JsonFileIterator => file.getRDD(ctx, read)
+      case e                      => e.getRDD(ctx)
+    }
+    clauses.slice(1, upTo).foldLeft(items.map(i => FlworTuple(Map(v -> List(i))))) {
+      (in, c) => c.spark(in, ctx)
+    }
+  }
+
   override def isRDD(ctx: DynamicContext): Boolean = path(ctx) != FlworPath.Local
 
   override def getRDD(ctx: DynamicContext): RDD[Item] =
@@ -534,15 +480,16 @@ final class FlworIterator(val last: ClauseIterator, retExpr: RuntimeIterator,
     else {
       val base = ctx.enterClosure
       val re   = retExpr
-      last.tupleRdd(ctx, keptKeys(counting = false))
+      tupleRdd(ctx, keptKeys(counting = false))
         .flatMap(t => re.localIterator(base.bindAll(t.bindings)))
     }
 
   protected def compute(ctx: DynamicContext): Iterator[Item] =
-    last.tupleIterator(ctx).flatMap(t => retExpr.localIterator(ctx.bindAll(t.bindings)))
+    clauses.foldLeft(Iterator.single(FlworTuple.empty))((in, c) => c.local(in, ctx))
+      .flatMap(t => retExpr.localIterator(ctx.bindAll(t.bindings)))
 
   /** Counts the tuples when the return yields one item each. */
   override def count(ctx: DynamicContext): Long =
-    if (singletonReturn && isRDD(ctx)) last.tupleRdd(ctx, keptKeys(counting = true)).count()
+    if (singletonReturn && isRDD(ctx)) tupleRdd(ctx, keptKeys(counting = true)).count()
     else super.count(ctx)
 }

@@ -1,6 +1,7 @@
 package repro.core.runtime.flwor
 
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
 import repro.core.model.{Item, ItemSerde}
 import repro.core.runtime.DynamicContext
 
@@ -22,9 +23,24 @@ object FlworTuple {
   * ([[ClauseIterator.vars]]) — so each variable maps to one binary cell
   * holding its serialized sequence of items. Such rows exist only at a
   * `group by` or `order by`, where the live tuples are encoded for the
-  * shuffle; their columns are named by position.
+  * shuffle. A shuffle row holds, in order: per key `i` its [[KeyEncoder]]
+  * rank `k<i>_r` and value `k<i>_s`; the cells `c<i>`; and, for a group by's
+  * partial groups, the summed lengths `n<i>` and the item cells `m<i>`.
   */
 object TupleSchema {
+
+  def key(i: Int): Seq[String] = Seq(s"k${i}_r", s"k${i}_s")
+  def cell(i: Int): String     = s"c$i"
+  def count(i: Int): String    = s"n$i"
+  def items(i: Int): String    = s"m$i"
+
+  /** The schema of shuffle rows with these numbers of keys, cells, lengths and item cells. */
+  def shuffleRow(keys: Int, cells: Int, counts: Int = 0, itemCells: Int = 0): StructType =
+    StructType((0 until keys).flatMap(i => key(i).zip(Seq(IntegerType, StringType)).map {
+      case (name, t) => StructField(name, t, nullable = false)
+    }) ++ (0 until cells).map(i => StructField(cell(i), BinaryType)) ++
+      (0 until counts).map(i => StructField(count(i), LongType)) ++
+      (0 until itemCells).map(i => StructField(items(i), BinaryType)))
 
   /** Decode the cells of `varNames`, in that order, into their bindings. */
   private def bindingsOf(cells: Seq[Array[Byte]], varNames: Seq[String]): Map[String, List[Item]] =

@@ -76,7 +76,7 @@ object Translator {
     case FlworExpr(clauses, ret) => translateFlwor(clauses, ret, sc)
   }
 
-  /** Builds the clause chain, desugaring multi-variable for/let clauses
+  /** Builds the clause list, desugaring multi-variable for/let clauses
     * into one clause iterator per binding, and group-by binding forms
     * (`group by $k := e`) into a let followed by a group.
     *
@@ -88,18 +88,19 @@ object Translator {
   private def translateFlwor(clauses: List[ClauseAst], ret0: ExprAst,
                              sc0: StaticContext): RuntimeIterator = {
     val (clauseKeys, allKeys) = keysRead(clauses, ret0)
-    var chain: Option[ClauseIterator] = None
-    var sc                            = sc0
-    var remaining                     = clauses
-    var ret                           = ret0
+    var built     = Vector.empty[ClauseIterator]
+    var sc        = sc0
+    var remaining = clauses
+    var ret       = ret0
 
     // the tuple stream's variables so far, in binding order
-    def inScope: Vector[String] = chain.fold(Vector.empty[String])(_.vars)
+    def inScope: Vector[String] = built.lastOption.fold(Vector.empty[String])(_.vars)
 
     // binds `name` to each item of `expr` (a for) or to all of them (a let)
     def bind(name: String, expr: ExprAst, each: Boolean): Unit = {
       val e = translateExpr(expr, sc)
-      chain = Some(if (each) new ForClauseIterator(chain, name, e) else new LetClauseIterator(chain, name, e))
+      built :+= (if (each) new ForClauseIterator(inScope, name, e)
+                 else new LetClauseIterator(inScope, name, e))
       sc = sc.withVar(name)
     }
 
@@ -113,7 +114,7 @@ object Translator {
         case LetClauseAst(bindings) => bindings.foreach { case (v, e) => bind(v, e, each = false) }
 
         case WhereClauseAst(e) =>
-          chain = Some(new WhereClauseIterator(chain.get, translateExpr(e, sc)))
+          built :+= new WhereClauseIterator(inScope, translateExpr(e, sc))
 
         case GroupByClauseAst(keys) =>
           // binding form first: group by $k := e  ≡  let $k := e then group by $k
@@ -125,18 +126,16 @@ object Translator {
           }
           val keyNames     = keys.map(_._1)
           val reboundBelow = remaining.flatMap(clauseBoundVars).toSet
-          val modes = inScope.filterNot(keyNames.contains).map { v =>
-            val use = Usage.of(downstream.map(usage(_, v)))
-            v -> (if (reboundBelow.contains(v) || use.used && !use.onlyCount) GroupAggMode.Materialize
-                  else if (use.used) GroupAggMode.CountOnly
-                  else GroupAggMode.Drop)
-          }.toMap
-          // rewrite downstream count($v) → $v#count for CountOnly vars
-          val counted = modes.collect { case (v, GroupAggMode.CountOnly) => v }.toSet
-          remaining = remaining.map(mapClause(_, rewriteCount(_, counted)))
-          ret = rewriteCount(ret, counted)
+          val uses = inScope.filterNot(keyNames.contains).map(v =>
+            v -> Usage.of(downstream.map(usage(_, v))))
+          // materialized unless only counted or unused (and not rebound below)
+          val kept    = uses.collect { case (v, u) if reboundBelow(v) || u.used && !u.onlyCount => v }
+          val counted = uses.collect { case (v, u) if u.used && !kept.contains(v) => v }
+          // rewrite downstream count($v) → $v#count for the counted variables
+          remaining = remaining.map(mapClause(_, rewriteCount(_, counted.toSet)))
+          ret = rewriteCount(ret, counted.toSet)
           counted.foreach(v => sc = sc.withVar(v + "#count"))
-          chain = Some(new GroupByClauseIterator(chain.get, keyNames, modes))
+          built :+= new GroupByClauseIterator(keyNames, kept, counted)
 
         case OrderByClauseAst(specs) =>
           val compiled = specs.map(s =>
@@ -147,15 +146,15 @@ object Translator {
           }
           val kept = inScope.filter(v =>
             groupKeys.contains(v) || downstream.exists(usage(_, v).used))
-          chain = Some(new OrderByClauseIterator(chain.get, compiled, kept))
+          built :+= new OrderByClauseIterator(inScope, compiled, kept)
 
         case CountClauseAst(v) =>
-          chain = Some(new CountClauseIterator(chain.get, v))
+          built :+= new CountClauseIterator(inScope, v)
           sc = sc.withVar(v)
       }
     }
 
-    new FlworIterator(chain.get, translateExpr(ret, sc), singletonReturn(ret, clauses),
+    new FlworIterator(built.toList, translateExpr(ret, sc), singletonReturn(ret, clauses),
       clauseKeys, allKeys)
   }
 

@@ -5,6 +5,7 @@ import repro.core.runtime.{DynamicContext, RumbleConf}
 import repro.core.runtime.flwor.{FlworIterator, FlworPath, GroupByClauseIterator,
   OrderByClauseIterator}
 import repro.bench.RumbleQueries
+import repro.datasets.ConfusionData
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import org.apache.spark.sql.catalyst.plans.physical.RangePartitioning
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
@@ -247,7 +248,7 @@ class DataFrameFlworSpec extends RumbleSpec {
     assert(flworPath(letWhere) == FlworPath.Tuples)
     // the group's $i is only counted (§4.7 CountOnly)
     val group = rumble.compile(RumbleQueries.group(confusionFile)).asInstanceOf[FlworIterator]
-    assert(group.last.vars.toSet == Set("target", "i#count"))
+    assert(group.clauses.last.vars.toSet == Set("target", "i#count"))
   }
 
   test("kept-key pin: json-file builds only the keys each paper query reads") {
@@ -277,10 +278,31 @@ class DataFrameFlworSpec extends RumbleSpec {
     assert(evalSpark(filter) == evalLocal(filter))
   }
 
+  test("job pin: each benchmark query starts as many Spark jobs as before") {
+    val file = tempJsonFile("jobs", (0L until 200L).map(ConfusionData.line(_, 7L)))
+    val letWhere =
+      s"""for $$i in json-file("$file")
+         |let $$g := $$i.guess
+         |let $$t := $$i.target
+         |where $$g eq $$t
+         |return $$i""".stripMargin
+    val out = new java.io.File(
+      java.nio.file.Files.createTempDirectory("rumble-out").toFile, "sorted").getAbsolutePath
+    // each query through the entry point the benchmark runs it with
+    val jobs = Seq(
+      jobsStarted(rumble.runCount(RumbleQueries.filter(file))),
+      jobsStarted(rumble.runCount(letWhere)),
+      jobsStarted(rumble.run(RumbleQueries.group(file))),
+      jobsStarted(rumble.writeJsonLines(RumbleQueries.sort(file), out)))
+    // filter and let-where: the count; group: the shuffle map stage and the
+    // collect; sort: the type pass, the range sampling, the map stage and the write
+    assert(jobs == Seq(1, 1, 2, 4), jobs)
+  }
+
   test("a rebinding drops the shadowed variable from the tuple stream (§4.5)") {
     val q = """for $x in parallelize(1 to 4) let $y := $x let $x := $x * 10 count $c
               |order by $y descending return [$x, $c]""".stripMargin
-    val order = rumble.compile(q).asInstanceOf[FlworIterator].last
+    val order = rumble.compile(q).asInstanceOf[FlworIterator].clauses.last
       .asInstanceOf[OrderByClauseIterator]
     assert(order.vars == Vector("y", "x", "c"))
     // the order key is evaluated before the shuffle, so $y has no cell
@@ -343,7 +365,7 @@ class DataFrameFlworSpec extends RumbleSpec {
         |where $g eq $t
         |order by $i.guess descending
         |return [$g, $t]""".stripMargin
-    assert(rumble.compile(q).asInstanceOf[FlworIterator].last
+    assert(rumble.compile(q).asInstanceOf[FlworIterator].clauses.last
       .asInstanceOf[OrderByClauseIterator].kept == Vector("g", "t"))
     checkAgainstLocal(q)
   }
@@ -370,16 +392,17 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   test("the sort's plan has no key UDF and a range exchange sized to its input") {
     val q     = RumbleQueries.sort(confusionFile)
-    val order = rumble.compile(q).asInstanceOf[FlworIterator].last
-      .asInstanceOf[OrderByClauseIterator]
+    val flwor = rumble.compile(q).asInstanceOf[FlworIterator]
+    val order = flwor.clauses.last.asInstanceOf[OrderByClauseIterator]
     val ctx = DynamicContext.root(RumbleConf())
     try {
-      val sorted = order.sortedFrame(ctx, None)
+      val input  = flwor.tupleRdd(ctx, None, flwor.clauses.size - 1)
+      val sorted = order.sortedFrame(input, ctx)
       val plan   = sorted.queryExecution.sparkPlan
       val udfs   = plan.collect { case p => p.expressions.flatMap(_.collect { case u: ScalaUDF => u }) }
       assert(udfs.flatten.isEmpty, plan)
       val exchanges = plan.collect { case e: ShuffleExchangeExec => e.outputPartitioning }
-      val inputParts = order.parent.get.tupleRdd(ctx, None).getNumPartitions
+      val inputParts = input.getNumPartitions
       assert(exchanges.size == 1, plan)
       exchanges.head match {
         case r: RangePartitioning => assert(r.numPartitions == inputParts)
@@ -394,10 +417,10 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   test("the order by's type pass (§4.8) is one Spark job") {
     val q = "for $x in parallelize(1 to 40, 4) order by $x descending, -$x return $x"
-    val order = rumble.compile(q).asInstanceOf[FlworIterator].last
-      .asInstanceOf[OrderByClauseIterator]
+    val flwor = rumble.compile(q).asInstanceOf[FlworIterator]
+    val order = flwor.clauses.last.asInstanceOf[OrderByClauseIterator]
     val ctx = DynamicContext.root(RumbleConf())
-    try assert(jobsStarted(order.sortedFrame(ctx, None)) == 1)
+    try assert(jobsStarted(order.sortedFrame(flwor.tupleRdd(ctx, None, 1), ctx)) == 1)
     finally ctx.releasePersisted()
     // the type pass, the range sampling, the exchange's map stage and the
     // one collect to the driver
@@ -414,12 +437,12 @@ class DataFrameFlworSpec extends RumbleSpec {
 
   // ---------------------------------------------- the group-by boundary
 
-  private def groupOf(q: String): GroupByClauseIterator =
-    rumble.compile(q).asInstanceOf[FlworIterator].last.asInstanceOf[GroupByClauseIterator]
-
   /** Per partition of the GROUP BY's input: (rows, distinct encoded keys). */
   private def partialRows(q: String): Seq[(Int, Int)] = {
-    val frame = groupOf(q).partialFrame(DynamicContext.root(RumbleConf()), None)
+    val flwor = rumble.compile(q).asInstanceOf[FlworIterator]
+    val group = flwor.clauses.last.asInstanceOf[GroupByClauseIterator]
+    val frame = group.partialFrame(
+      flwor.tupleRdd(DynamicContext.root(RumbleConf()), None, flwor.clauses.size - 1))
     frame.rdd.mapPartitions { rows =>
       val keys = rows.map(r => (r.getInt(0), r.getString(1))).toVector
       Iterator.single((keys.size, keys.distinct.size))

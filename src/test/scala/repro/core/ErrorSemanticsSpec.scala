@@ -119,6 +119,11 @@ class ErrorSemanticsSpec extends RumbleSpec {
     expectError("for $x in ([1], [2]) group by $k := $x return 1", "XPTY0004")(rumbleLocal.run)
   }
 
+  test("two pairs with one key in an object constructor are JNDY0003") {
+    both("""{"a": 1, "a": 2}""", Left("JNDY0003"))
+    both("""for $x in parallelize((1, 2), 2) return {"a": $x, "b": 0, "a": $x}""", Left("JNDY0003"))
+  }
+
   test("'to' requires integers") {
     expectError("1.5 to 3", "XPTY0004")(rumbleLocal.run)
   }

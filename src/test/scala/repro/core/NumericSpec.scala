@@ -22,6 +22,15 @@ class NumericSpec extends RumbleSpec {
     both("for $x in parallelize(1.5) return $x mod 0.0", Left("FOAR0001"))
   }
 
+  test("unary plus returns a number as it is; anything else is XPTY0004") {
+    both("+1", items("1"))
+    both("+1.5", items("1.5"))
+    both("+()", items())
+    both("+\"a\"", Left("XPTY0004"))
+    both("+true", Left("XPTY0004"))
+    both("""for $x in parallelize(("a", "b"), 2) return +$x""", Left("XPTY0004"))
+  }
+
   test("sum and avg of decimals are exact") {
     assert(evalLocal("sum((0.1, 0.2))") == "0.3")
     both("sum(parallelize((0.1, 0.2)))", items("0.3"))
