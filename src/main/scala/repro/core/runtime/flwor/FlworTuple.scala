@@ -36,9 +36,10 @@ object TupleSchema {
 
   /** The schema of shuffle rows with these numbers of keys, cells, lengths and item cells. */
   def shuffleRow(keys: Int, cells: Int, counts: Int = 0, itemCells: Int = 0): StructType =
-    StructType((0 until keys).flatMap(i => key(i).zip(Seq(IntegerType, StringType)).map {
-      case (name, t) => StructField(name, t, nullable = false)
-    }) ++ (0 until cells).map(i => StructField(cell(i), BinaryType)) ++
+    StructType((0 until keys).flatMap(i => Seq(
+      StructField(key(i).head, IntegerType, nullable = false),
+      StructField(key(i).last, StringType, nullable = false))) ++
+      (0 until cells).map(i => StructField(cell(i), BinaryType)) ++
       (0 until counts).map(i => StructField(count(i), LongType)) ++
       (0 until itemCells).map(i => StructField(items(i), BinaryType)))
 
